@@ -1,89 +1,138 @@
-"""Banded finite-difference building blocks shared by the axial solvers.
+"""The banded core shared by the axial solvers.
 
-Everything here works on uniform grids with homogeneous Dirichlet data at
-the endpoints, realized by zero extension: the 5-point stencil simply sees
-zeros beyond the grid.  Fields that reach the boundary with non-negligible
-values violate the discretization contract and are caught upstream.
+Every axial operator in the package is the 4th-order central stencil of
+-d^2/ds^2 on a uniform grid plus a diagonal (a constant shift or a
+potential), either on the full grid or folded onto one parity class.
+:class:`Band` stores such a symmetric pentadiagonal matrix by its upper band
+and provides the matvec, a banded LU solve and a banded Cholesky solve whose
+factor is computed once per operator.
+
+Homogeneous Dirichlet data at the endpoints is realized by zero extension:
+the 5-point stencil simply sees zeros beyond the grid.  Fields that reach the
+boundary with non-negligible values violate the discretization contract and
+are caught upstream.
+
+Parity classes live on half grids.  With m = (N-1)//2 the even half grid
+carries the full-grid indices m..N-1 (index 0 is s = 0) and the odd half grid
+m+1..N-1.  E is the extension from a half grid to the full grid
+(:func:`unfold`); :func:`fold` restricts a vector of that parity to its half
+grid, and ``E^T E`` is the diagonal :func:`fold_weights`.
 """
 
+from functools import cached_property
+
 import numpy as np
-from scipy.linalg import solve_banded, solveh_banded
-from scipy.sparse import csc_matrix, diags, identity
+from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 
-def neg_d2_matrix(N, h):
-    """Sparse symmetric -d^2/ds^2, 4th-order central stencil, zero extension."""
-    c = 1.0 / (12.0 * h * h)
-    main = np.full(N, 30.0 * c)
-    off1 = np.full(N - 1, -16.0 * c)
-    off2 = np.full(N - 2, 1.0 * c)
-    return diags([off2, off1, main, off1, off2], [-2, -1, 0, 1, 2], format="csc")
+class Band:
+    """Symmetric pentadiagonal matrix stored by its upper band.
 
-
-def band_from_sparse(A, kl=2, ku=2):
-    """LAPACK banded storage (solve_banded layout) of a sparse matrix."""
-    A = A.tocoo()
-    ab = np.zeros((kl + ku + 1, A.shape[0]))
-    np.add.at(ab, (ku + A.row - A.col, A.col), A.data)
-    return ab
-
-
-def solve_pentadiagonal(A, rhs):
-    """LU solve of a (possibly unsymmetric-stored) bandwidth-2 sparse matrix."""
-    return solve_banded((2, 2), band_from_sparse(A), rhs)
-
-
-def solve_spd_pentadiagonal(ab_upper, rhs):
-    """Cholesky solve; ab_upper are the three upper rows of the LAPACK band."""
-    return solveh_banded(ab_upper, rhs)
-
-
-def upper_band(A):
-    return band_from_sparse(A)[:3].copy()
-
-
-def fold_even(N):
-    """Extension matrix from the half grid [0, S] to [-S, S] for even profiles.
-
-    The half grid carries indices 0..m with m = (N-1)//2; index 0 is s = 0.
+    ``ab`` has the LAPACK upper layout of ``solveh_banded``: ``ab[2]`` is the
+    diagonal, ``ab[1, j] = A[j-1, j]`` and ``ab[0, j] = A[j-2, j]``; the unused
+    corner ``ab[1, 0]``, ``ab[0, :2]`` holds zeros.  The array is frozen, so
+    the Cholesky factor, once computed, stays valid for the operator's life.
     """
-    mid = (N - 1) // 2
-    rows = [mid]
-    cols = [0]
-    vals = [1.0]
-    for j in range(1, mid + 1):
-        rows += [mid + j, mid - j]
-        cols += [j, j]
-        vals += [1.0, 1.0]
-    return csc_matrix((vals, (rows, cols)), shape=(N, mid + 1))
+
+    def __init__(self, ab):
+        ab.flags.writeable = False
+        self.ab = ab
+        self.n = ab.shape[1]
+
+    @classmethod
+    def neg_d2(cls, N, h):
+        """-d^2/ds^2 by the 4th-order central stencil on N points, zero extension."""
+        c = 1.0 / (12.0 * h * h)
+        ab = np.array([[1.0 * c], [-16.0 * c], [30.0 * c]]).repeat(N, axis=1)
+        ab[1, 0] = ab[0, :2] = 0.0
+        return cls(ab)
+
+    def shifted(self, diag):
+        """The operator plus a diagonal (a scalar shift or a potential)."""
+        return Band(np.vstack([self.ab[:2], self.ab[2] + diag]))
+
+    def __rmul__(self, c):
+        return Band(c * self.ab)
+
+    def __matmul__(self, x):
+        # row i adds its i-2, ..., i+2 terms to zero in that order, as a CSC
+        # sparse matvec does, so results match the sparse operator bit for bit
+        u2, u1, d = self.ab
+        y = np.zeros_like(x, dtype=float)
+        y[2:] += u2[2:] * x[:-2]
+        y[1:] += u1[1:] * x[:-1]
+        y += d * x
+        y[:-1] += u1[1:] * x[1:]
+        y[:-2] += u2[2:] * x[2:]
+        return y
+
+    def fold(self, parity):
+        """The form E^T A E on the "even" or "odd" half grid.
+
+        Assumes A is even under reflection about the grid center, as the
+        stencil plus an even potential is; then the folded band is twice the
+        right half of A, corrected where the stencil reaches across s = 0.
+        """
+        mid = (self.n - 1) // 2
+        u2, _, d = self.ab
+        if parity == "even":
+            ab = 2.0 * self.ab[:, mid:]
+            ab[2, 0] = d[mid]
+            ab[2, 1] = 2.0 * (d[mid + 1] + u2[mid + 1])
+        else:
+            ab = 2.0 * self.ab[:, mid + 1:]
+            ab[2, 0] = 2.0 * (d[mid + 1] - u2[mid + 1])
+        ab[1, 0] = ab[0, :2] = 0.0
+        return Band(ab)
+
+    def solve(self, b):
+        """Solve A x = b by banded LU; A need not be definite."""
+        u2, u1, d = self.ab
+        lower = [np.append(u1[1:], 0.0), np.append(u2[2:], [0.0, 0.0])]
+        return solve_banded((2, 2), np.array([u2, u1, d, *lower]), b)
+
+    @cached_property
+    def _cholesky(self):
+        return cholesky_banded(self.ab)
+
+    def cho_solve(self, b):
+        """Solve A x = b for positive definite A through the stored factor.
+
+        Raises ``numpy.linalg.LinAlgError`` when A is not positive definite.
+        """
+        return cho_solve_banded((self._cholesky, False), b)
 
 
-def fold_odd(N):
-    """Extension matrix for odd profiles; half grid excludes s = 0."""
-    mid = (N - 1) // 2
-    rows, cols, vals = [], [], []
-    for j in range(1, mid + 1):
-        rows += [mid + j, mid - j]
-        cols += [j - 1, j - 1]
-        vals += [1.0, -1.0]
-    return csc_matrix((vals, (rows, cols)), shape=(N, mid))
+def fold(x, parity):
+    """Restriction of a full-grid vector to the "even" or "odd" half grid."""
+    mid = (len(x) - 1) // 2
+    return x[mid:] if parity == "even" else x[mid + 1:]
 
 
-def fold_form(E, A):
-    """Restriction E^T A E of a full-grid quadratic form to a parity class."""
-    return (E.T @ A @ E).tocsc()
+def unfold(x, parity):
+    """The extension E: the even or odd full-grid vector with half values x."""
+    if parity == "even":
+        return np.concatenate([x[:0:-1], x])
+    return np.concatenate([-x[::-1], [0.0], x])
+
+
+def fold_weights(N, parity):
+    """Diagonal of E^T E: E^T x = fold_weights * fold(x) for x of the parity."""
+    w = np.full((N - 1) // 2 + (parity == "even"), 2.0)
+    if parity == "even":
+        w[0] = 1.0
+    return w
 
 
 def smallest_singular_estimate(A, iters=6, seed=0):
-    """Cheap inverse-iteration bound for the smallest |eigenvalue| of a banded
-    symmetric operator; used only as a conditioning guard before solves."""
+    """Cheap inverse-iteration bound for the smallest |eigenvalue| of a Band;
+    used only as a conditioning guard before solves."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(A.shape[0])
+    x = rng.standard_normal(A.n)
     x /= np.linalg.norm(x)
-    ab = band_from_sparse(A)
     est = np.inf
     for _ in range(iters):
-        y = solve_banded((2, 2), ab, x)
+        y = A.solve(x)
         ny = np.linalg.norm(y)
         if not np.isfinite(ny) or ny == 0.0:
             return 0.0
@@ -102,17 +151,15 @@ def newton_ground_state(s, h, lam, p, v_init, tol_factor=1e-13, max_iter=12):
     machine precision instead of to the sampling error of the continuum state.
     """
     N = len(s)
-    E = fold_even(N)
-    A = fold_form(E, neg_d2_matrix(N, h))
-    mid = (N - 1) // 2
-    w = np.full(mid + 1, 2.0)
-    w[0] = 1.0
-    v = np.asarray(v_init, dtype=float)[mid:].copy()
-    scale = (30.0 / (12.0 * h * h)) * float(np.max(v))
+    D2 = Band.neg_d2(N, h)
+    A = D2.fold("even")
+    w = fold_weights(N, "even")
+    v = fold(np.asarray(v_init, dtype=float), "even")
+    scale = D2.ab[2, 0] * float(np.max(v))
     for _ in range(max_iter):
-        F = np.asarray(A @ v).ravel() + lam * (w * v) - w * np.abs(v) ** (p - 2.0) * v
+        F = A @ v + lam * (w * v) - w * np.abs(v) ** (p - 2.0) * v
         if np.max(np.abs(F)) < tol_factor * scale:
             break
-        J = A + diags(lam * w - (p - 1.0) * w * np.abs(v) ** (p - 2.0))
-        v = v - solve_pentadiagonal(J, F)
-    return np.concatenate([v[::-1][:-1], v])
+        J = A.shifted(lam * w - (p - 1.0) * w * np.abs(v) ** (p - 2.0))
+        v = v - J.solve(F)
+    return unfold(v, "even")

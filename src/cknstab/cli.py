@@ -10,6 +10,8 @@ selftest      quick battery over the package invariants (exit code reports)
 
 Output is CSV (default) or JSON; identical config and seed give identical
 bytes.  A flat key=value config file can seed any option; explicit flags win.
+A sweep keeps the rows of points that failed, with their ``error`` column
+filled, and then exits with status 3.
 """
 
 import argparse
@@ -155,6 +157,15 @@ def emit(cfg, columns, rows, meta):
             fh.write(text)
 
 
+def _exit_status(rows):
+    """3 when any sweep row carries an error (summarized on stderr), else 0."""
+    failed = sum(1 for r in rows if r.get("error"))
+    if not failed:
+        return 0
+    print(f"cknstab: {failed} of {len(rows)} rows carry an error", file=sys.stderr)
+    return 3
+
+
 def _meta(cfg):
     from . import __version__
 
@@ -192,7 +203,7 @@ def cmd_constants(cfg):
             row["error"] = f"{type(exc).__name__}: {exc}"
         rows.append(row)
     emit(cfg, columns, rows, _meta(cfg))
-    return 0
+    return _exit_status(rows)
 
 
 def cmd_spectrum(cfg):
@@ -217,7 +228,7 @@ def cmd_spectrum(cfg):
                          "gamma": "", "residual": "", "grid_signature": "",
                          "error": f"{type(exc).__name__}: {exc}"})
     emit(cfg, columns, rows, _meta(cfg))
-    return 0
+    return _exit_status(rows)
 
 
 def cmd_sharpness(cfg):
@@ -250,7 +261,7 @@ def cmd_sharpness(cfg):
             rows.append({"n": n, "p": p, "kind": "error", "mu": "",
                          "error": f"{type(exc).__name__}: {exc}"})
     emit(cfg, columns, rows, _meta(cfg))
-    return 0
+    return _exit_status(rows)
 
 
 def cmd_interactions(cfg):
@@ -284,7 +295,7 @@ def cmd_interactions(cfg):
             rows.append({"n": n, "p": p, "kind": "error", "gap": "",
                          "error": f"{type(exc).__name__}: {exc}"})
     emit(cfg, columns, rows, _meta(cfg))
-    return 0
+    return _exit_status(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from . import params as _params
-from ._discrete import neg_d2_matrix, newton_ground_state, upper_band
-from scipy.sparse import identity
+from ._discrete import Band, newton_ground_state
 
 __all__ = [
     "Grid",
@@ -186,14 +185,11 @@ class Cylinder:
         self.grid.validate_for(params)
         self.sphere = SphereQuad(params.n, M=M, L=L)
         self.L = self.sphere.L
-        N, h = self.grid.N, self.grid.h
-        d2 = neg_d2_matrix(N, h)
+        self._neg_d2 = Band.neg_d2(self.grid.N, self.grid.h)
         self.sector_ops = [
-            (d2 + (self.sphere.eigenvalue(l) + params.Lam) * identity(N, format="csc")).tocsc()
+            self._neg_d2.shifted(self.sphere.eigenvalue(l) + params.Lam)
             for l in range(self.L + 1)
         ]
-        self._sector_bands = [upper_band(A) for A in self.sector_ops]
-        self._neg_d2 = d2
 
     # -- profile-level helpers -------------------------------------------------
 
@@ -389,10 +385,17 @@ def load_field(path, cyl=None):
         tag = fh.readline().split()
         if tag[:1] != ["cknstab-field"]:
             raise ValueError(f"not a field file: {path}")
+        if tag[1:] != ["1"]:
+            raise ValueError(f"unsupported field file version {tag[1:]}: {path}")
         n_s, p_s, L_s, N_s, S_s = fh.readline().split()
-        n, p, L, N, S = int(n_s), float(p_s), int(L_s), int(N_s), float(S_s)
+        header = n, p, L, N, S = int(n_s), float(p_s), int(L_s), int(N_s), float(S_s)
         if cyl is None:
             cyl = Cylinder(_params.from_pn(p, n), grid=Grid(S=S, N=N), L=L)
+        elif header != (cyl.params.n, cyl.params.p, cyl.L, cyl.grid.N, cyl.grid.S):
+            raise ValueError(
+                f"field file header (n, p, L, N, S) = {header} does not match "
+                f"the cylinder's: {path}"
+            )
         profiles = np.loadtxt(fh, delimiter=",", ndmin=2)
     if profiles.shape != (L + 1, N):
         raise ValueError(f"malformed field file: {path}")

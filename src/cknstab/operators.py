@@ -14,19 +14,9 @@ import logging
 import math
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
-from ._discrete import (
-    fold_even,
-    fold_odd,
-    fold_form,
-    neg_d2_matrix,
-    smallest_singular_estimate,
-    solve_pentadiagonal,
-)
+from ._discrete import Band, fold, fold_weights, smallest_singular_estimate, unfold
 from .cylinder import ZonalField, duality_pairing, pointwise_map_with_tail
-
-from scipy.sparse import diags
 
 __all__ = [
     "Residual",
@@ -89,7 +79,8 @@ def riesz_solve(f):
     The sector operators are positive definite with spectrum inside
     [Lambda, 64/(12 h^2) + lam_L + Lambda], so an upper conditioning bound is
     available for free; it is reported if it ever reaches 1e12 (it sits near
-    1e5 on default grids).
+    1e5 on default grids).  Each sector's Cholesky factor is computed on the
+    first solve and reused for the life of the cylinder.
     """
     cyl = f.cyl
     h = cyl.grid.h
@@ -101,7 +92,7 @@ def riesz_solve(f):
     out = np.zeros_like(f.profiles)
     for l in range(cyl.L + 1):
         if np.any(f.profiles[l]):
-            out[l] = solveh_banded(cyl._sector_bands[l], f.profiles[l])
+            out[l] = cyl.sector_ops[l].cho_solve(f.profiles[l])
     return ZonalField(cyl, out)
 
 
@@ -137,22 +128,13 @@ def bvp_solve(cyl, ell, mass_shift, rhs, singular_tol=1e-8):
     if rhs.shape != (N,):
         raise ValueError("rhs must be an axial profile on the grid")
     weight = (params.p - 1.0) * cyl.ground_state ** (params.p - 2.0)
-    full = neg_d2_matrix(N, h) + diags(mass_shift - weight)
+    full = Band.neg_d2(N, h).shifted(mass_shift - weight)
 
     parity = _parity_of(rhs)
-    if parity == "even":
-        E = fold_even(N)
-    elif parity == "odd":
-        E = fold_odd(N)
+    if parity == "none":
+        A, b = full, rhs
     else:
-        E = None
-
-    if E is not None:
-        A = fold_form(E, full)
-        b = np.asarray(E.T @ rhs).ravel()
-    else:
-        A = full.tocsc()
-        b = rhs
+        A, b = full.fold(parity), fold_weights(N, parity) * fold(rhs, parity)
 
     smallest = smallest_singular_estimate(A)
     if smallest <= singular_tol:
@@ -161,10 +143,10 @@ def bvp_solve(cyl, ell, mass_shift, rhs, singular_tol=1e-8):
             f"(p, n) = ({params.p}, {params.n}): smallest eigenvalue "
             f"estimate {smallest:.2e}"
         )
-    x = solve_pentadiagonal(A, b)
-    g = np.asarray(E @ x).ravel() if E is not None else x
+    x = A.solve(b)
+    g = x if parity == "none" else unfold(x, parity)
 
-    resid = np.asarray(full @ g).ravel() - rhs
+    resid = full @ g - rhs
     rel = math.sqrt(h * float(resid @ resid)) / max(
         math.sqrt(h * float(rhs @ rhs)), 1e-300
     )

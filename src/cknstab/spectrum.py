@@ -9,6 +9,8 @@ positive but exponentially small in the tails; the smallest eigenvalues are
 extracted by shift-invert Lanczos about gamma = 0, which never divides by the
 tiny tail weights.  Even and odd axial parities are solved separately and
 merged, so the translation mode and the ground state never mix numerically.
+Each folded pencil is factored once by banded Cholesky, and that factor is
+the shift-invert operator of every Lanczos step.
 The Lanczos start vector is fixed, so the eigenpairs are a deterministic
 function of the cylinder and reruns give bitwise-identical output.
 """
@@ -16,10 +18,10 @@ function of the cylinder and reruns give bitwise-identical output.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags, identity
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse import diags
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from ._discrete import fold_even, fold_odd, fold_form, neg_d2_matrix
+from ._discrete import fold, fold_weights, unfold
 
 __all__ = ["SectorSpectrum", "eigensolve_sector", "gamma3"]
 
@@ -42,17 +44,6 @@ class SectorSpectrum:
         return float(np.max(np.abs(G - np.eye(len(self.eigenvalues)))))
 
 
-def _parity_pencil(cyl, ell, parity):
-    N, h = cyl.grid.N, cyl.grid.h
-    A = neg_d2_matrix(N, h) + (cyl.sphere.eigenvalue(ell) + cyl.params.Lam) * identity(
-        N, format="csc"
-    )
-    weight = np.maximum(cyl.ground_state ** (cyl.params.p - 2.0), B_FLOOR)
-    B = diags(weight).tocsc()
-    E = fold_even(N) if parity == "even" else fold_odd(N)
-    return fold_form(E, A), fold_form(E, B), E
-
-
 def eigensolve_sector(cyl, ell, k=3):
     """The k smallest eigenvalues of the sector-ell pencil with eigenprofiles.
 
@@ -64,19 +55,25 @@ def eigensolve_sector(cyl, ell, k=3):
     if k < 1 or k > 10:
         raise ValueError("eigenvalue count must satisfy 1 <= k <= 10")
     pairs = []
+    b_full = np.maximum(cyl.ground_state ** (cyl.params.p - 2.0), B_FLOOR)
     for parity in ("even", "odd"):
-        A, B, E = _parity_pencil(cyl, ell, parity)
+        A = cyl.sector_ops[ell].fold(parity)
+        b = fold_weights(cyl.grid.N, parity) * fold(b_full, parity)
+        shape = (A.n, A.n)
         try:
             # v0 rather than rng=: pyproject allows scipy>=1.10, which predates rng.
-            vals, vecs = eigsh(A, k=k, M=B, sigma=0.0, which="LM",
-                               v0=np.ones(A.shape[0]))
+            vals, vecs = eigsh(
+                LinearOperator(shape, matvec=A.__matmul__, dtype=float),
+                k=k, M=diags(b), sigma=0.0, which="LM", v0=np.ones(A.n),
+                OPinv=LinearOperator(shape, matvec=A.cho_solve, dtype=float),
+            )
         except ArpackNoConvergence as exc:
             raise ArithmeticError(
                 f"eigensolver failed to converge in sector ell={ell} "
                 f"({parity} parity) at (p, n) = ({cyl.params.p}, {cyl.params.n})"
             ) from exc
         for gamma, x in zip(vals, vecs.T):
-            pairs.append((float(gamma), np.asarray(E @ x).ravel()))
+            pairs.append((float(gamma), unfold(x, parity)))
     pairs.sort(key=lambda t: t[0])
     pairs = pairs[:k]
 

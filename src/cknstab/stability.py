@@ -22,17 +22,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solveh_banded
 from scipy.optimize import brentq
 from scipy.special import gammaln
 
-from ._discrete import (
-    fold_even,
-    fold_form,
-    neg_d2_matrix,
-    solve_pentadiagonal,
-    upper_band,
-)
+from ._discrete import Band, fold, fold_weights
 from .cylinder import (
     Cylinder,
     ZonalField,
@@ -44,8 +37,6 @@ from .cylinder import (
 )
 from .operators import apply_H1, bvp_solve, hminus1_norm
 from .params import CknParams
-
-from scipy.sparse import diags
 
 __all__ = [
     "BubbleFit",
@@ -78,7 +69,10 @@ def _as_cylinder(obj, refine=1):
     raise TypeError(f"expected CknParams or Cylinder, got {type(obj)!r}")
 
 
-@lru_cache(maxsize=8)
+CACHE_SIZE = 8  # cylinders, and correctors, kept alive for repeated calls
+
+
+@lru_cache(maxsize=CACHE_SIZE)
 def _cached_cylinder(params, refine):
     return Cylinder(params, refine=refine)
 
@@ -254,20 +248,6 @@ def compute_F(obj):
     return (p - 1) * (p - 2) / 4.0 * ((p - 1) / lpp * t2**2 - (p - 3) / 3.0 * t4)
 
 
-def _even_half_forms(cyl):
-    """Folded quadratic-form matrices on the even half grid (h included)."""
-    N, h = cyl.grid.N, cyl.grid.h
-    E = fold_even(N)
-    mid = (N - 1) // 2
-    w = np.full(mid + 1, 2.0)
-    w[0] = 1.0
-    K = fold_form(E, neg_d2_matrix(N, h)) * h          # int u'^2 (form)
-    mass = diags(h * w).tocsc()                        # int u^2
-    weight = cyl.ground_state[mid:] ** (cyl.params.p - 2.0)
-    Bv = diags(h * w * weight).tocsc()                 # int V^{p-2} u^2
-    return E, w, K, mass, Bv
-
-
 def compute_E0(obj, eps=0.0):
     """Constrained minimum of the degenerate quadratic form.
 
@@ -283,20 +263,27 @@ def compute_E0(obj, eps=0.0):
         raise ValueError(f"|eps| <= 0.1 required, got {eps}")
     cyl = _as_cylinder(obj)
     p, n, Lam = cyl.params.p, cyl.params.n, cyl.params.Lam
-    E, w, K, mass, Bv = _even_half_forms(cyl)
-    mid = (cyl.grid.N - 1) // 2
-    V = cyl.ground_state[mid:]
+    # the forms int u'^2 (a Band), int u^2 and int V^{p-2} u^2 (diagonals)
+    # folded onto the even half grid, h included
     h = cyl.grid.h
-    lin = h * w * V ** (2 * p - 3.0)
+    K = h * Band.neg_d2(cyl.grid.N, h).fold("even")
+    mass = h * fold_weights(cyl.grid.N, "even")
+    V = fold(cyl.ground_state, "even")
+    Bv = mass * V ** (p - 2.0)
+    lin = mass * V ** (2 * p - 3.0)
+
+    def form(shift):
+        """(1-eps)(K + shift mass) - (p-1) Bv, the mode's quadratic form."""
+        return ((1.0 - eps) * K.shifted(shift * mass)).shifted(-(p - 1.0) * Bv)
 
     area = sphere_area(n)
     m2 = sphere_moment(n, 2) - area / n**2  # int (th_n^2 - 1/n)^2
 
     # second zonal mode: unconstrained, positive definite
-    M2 = (1.0 - eps) * (K + (2.0 * n + Lam) * mass) - (p - 1.0) * Bv
+    M2 = form(2.0 * n + Lam)
     b2 = (p - 1.0) * (p - 2.0) * lin
     try:
-        x2 = solveh_banded(upper_band(2.0 * M2), b2)
+        x2 = (2.0 * M2).cho_solve(b2)
     except np.linalg.LinAlgError as exc:
         raise ArithmeticError(
             f"second-mode quadratic form not positive definite at "
@@ -305,11 +292,11 @@ def compute_E0(obj, eps=0.0):
     E_mode2 = float(x2 @ (M2 @ x2) - b2 @ x2)
 
     # mean mode: KKT with the single constraint <u, V^{p-1}> = 0
-    M0 = (1.0 - eps) * (K + Lam * mass) - (p - 1.0) * Bv
+    M0 = form(Lam)
     b0 = ((p - 1.0) * (p - 2.0) / n) * lin
-    con = h * w * V ** (p - 1.0)
-    y1 = solve_pentadiagonal(2.0 * M0, b0)
-    y2 = solve_pentadiagonal(2.0 * M0, con)
+    con = mass * V ** (p - 1.0)
+    y1 = (2.0 * M0).solve(b0)
+    y2 = (2.0 * M0).solve(con)
     denom = float(con @ y2)
     if denom >= 0.0:
         raise ArithmeticError(
@@ -517,11 +504,17 @@ def corrector(obj):
     eta1 solves the shifted axial problem with mass 2n + Lambda driven by
     V^{2p-3}; eta2 and C0 are explicit in the ground state and two of its
     power integrals.  Everything is assembled from the discrete ground state,
-    which makes the cancellation exact at the stencil level.
+    which makes the cancellation exact at the stencil level.  Computed once
+    per cylinder.
     """
-    cyl = _as_cylinder(obj, refine=STUDY_REFINE)
-    if getattr(cyl, "_corrector", None) is not None:
-        return cyl._corrector
+    return _corrector(_as_cylinder(obj, refine=STUDY_REFINE))
+
+
+# Same size as _cached_cylinder: when every cylinder comes from that cache, as
+# in the CLI's sharpness sweep, both caches hold the same cylinders and this
+# one keeps none alive longer.
+@lru_cache(maxsize=CACHE_SIZE)
+def _corrector(cyl):
     p, n, Lam = cyl.params.p, cyl.params.n, cyl.params.Lam
     V = cyl.ground_state
     Ip = cyl.quad_s(V**p)
@@ -562,7 +555,7 @@ def corrector(obj):
         h1_inner(eta, yfield) / h1_norm(eta) / h1_norm(yfield),
     )
 
-    cor = Corrector(
+    return Corrector(
         eta=eta,
         eta1=eta1,
         eta2=eta2,
@@ -571,8 +564,6 @@ def corrector(obj):
         identity_residual_hm1=res_hm1,
         orthogonality=orth,
     )
-    cyl._corrector = cor
-    return cor
 
 
 def counterexample(obj, mu):

@@ -42,6 +42,16 @@ def test_empty_pair_list_is_success(tmp_path):
     assert lines[0].startswith("n,p,E0")
 
 
+def test_failed_row_sets_exit_status(tmp_path):
+    out = tmp_path / "c.csv"
+    proc = run_cli(["constants", "--n", "3", "--p", "4", "--grid-N", "129",
+                    "--out", str(out)])
+    assert proc.returncode == 3
+    assert "1 of 1 rows carry an error" in proc.stderr
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 2 and "exceeds 0.05" in lines[1]
+
+
 def test_spectrum_rows_and_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):

@@ -160,6 +160,26 @@ def test_load_field_rejects_malformed(tmp_path, cyl34):
         ck.load_field(path)
 
 
+def test_load_field_rejects_unknown_version(tmp_path, cyl34):
+    path = tmp_path / "field.csv"
+    ck.save_field(cyl34.bubble_field(), path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("cknstab-field 99\n" + "".join(lines[1:]))
+    with pytest.raises(ValueError, match="version"):
+        ck.load_field(path)
+    with pytest.raises(ValueError, match="version"):
+        ck.load_field(path, cyl34)
+
+
+def test_load_field_rejects_header_mismatch(tmp_path, cyl34):
+    path = tmp_path / "field.csv"
+    ck.save_field(cyl34.bubble_field(), path)
+    assert np.array_equal(ck.load_field(path, cyl34).profiles, cyl34.bubble_field().profiles)
+    other = ck.Cylinder(ck.from_pn(4.5, 3), grid=cyl34.grid)
+    with pytest.raises(ValueError, match="does not match"):
+        ck.load_field(path, other)
+
+
 def test_field_serialization_roundtrip(tmp_path, cyl34):
     f = cyl34.from_theta_power(cyl34.bubble() ** 2, 1) + cyl34.bubble_field()
     path = tmp_path / "field.csv"

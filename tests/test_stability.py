@@ -255,3 +255,7 @@ def test_sharpness_input_validation(par34):
         ck.sharpness_study(par34, [1e-3, 2e-3, 4e-3])  # too few
     with pytest.raises(ValueError):
         ck.sharpness_study(par34, [1e-4, 1e-3, 3e-3, 1e-2, 3e-2])  # out of range
+
+
+def test_corrector_computed_once_per_cylinder(par34):
+    assert ck.corrector(par34) is ck.corrector(par34)
