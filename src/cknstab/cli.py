@@ -38,6 +38,8 @@ def _parse_values(tokens):
     for tok in tokens:
         if ":" in str(tok):
             a, b, step = (float(x) for x in str(tok).split(":"))
+            if step <= 0 or b < a:
+                raise SystemExit(f"bad range {tok!r}: need a <= b and step > 0")
             k = int(math.floor((b - a) / step + 1e-9))
             out.extend(a + i * step for i in range(k + 1))
         else:

@@ -102,12 +102,20 @@ def eigensolve_sector(cyl, ell, k=3):
 
 
 def gamma3(cyl, margin=1e-6):
-    """Smallest eigenvalue strictly above p - 1 across sectors ell <= L."""
+    """Smallest eigenvalue strictly above p - 1 across sectors ell <= L.
+
+    Sector ell's pencil is (A_0 + ell(ell+n-2) I, B), so by Courant-Fischer
+    each of its eigenvalues is nondecreasing in ell.  Sectors are walked
+    upward and the walk stops at the first one whose smallest eigenvalue
+    is already no lower than the best candidate: no later sector can lower it.
+    """
     p = cyl.params.p
     best = np.inf
     for ell in range(cyl.L + 1):
         k = 3 if ell == 0 else (2 if ell == 1 else 1)
         spec = eigensolve_sector(cyl, ell, k=k)
+        if spec.eigenvalues[0] >= best:
+            break  # every eigenvalue of every later sector is at least this one
         for gamma in spec.eigenvalues:
             if gamma > p - 1.0 + margin:
                 best = min(best, float(gamma))

@@ -17,6 +17,7 @@ measured residual floor is then set by roundoff, orders of magnitude below
 the smallest mu^3 signal in the study range.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,6 +57,8 @@ __all__ = [
     "test_function_bound",
     "stability_constants",
 ]
+
+log = logging.getLogger(__name__)
 
 STUDY_REFINE = 10       # resolution multiplier for the w(mu) machinery
 SERIES_REL_TOL = 1e-10  # relative tail bound target for the R series
@@ -98,9 +101,13 @@ class BubbleFit:
 def nearest_bubble(v, fit_amplitude=False):
     """Minimize ||v - V_t|| (or ||v - a V_t|| when requested) over the center.
 
-    A coarse scan brackets the minimizer inside |t| <= S/2, golden-section
-    narrows the bracket, and the first-order condition <v, ds V_t> = 0 is then
-    polished by bisection on the derivative.
+    Both objectives are stationary exactly where <v, ds V_t> vanishes: without
+    the amplitude d/dt ||v - V_t||^2 = 2 <v, ds V_t> (||V_t||^2 is translation
+    invariant up to truncation), and with it the derivative carries the extra
+    factor <v, V_t> / ||V_t||^2.  So <v, ds V_t> is scanned on 129 points of
+    |t| <= S/2, every sign change is polished to a root by brentq, and the
+    root with the smallest objective is the center.  It must beat both ends
+    of the scan, or the field is too far from the bubble manifold.
     """
     cyl = v.cyl
     S = cyl.grid.S
@@ -135,37 +142,20 @@ def nearest_bubble(v, fit_amplitude=False):
         def dist_sq(t):
             return vn2 - 2.0 * inner_with_bubble(t) + bubble_norm_sq(t)
 
-    # coarse scan, then golden section
+    # the root of <v, ds V_t> is resolvable far below the flat floor of the
+    # objective itself, so the center is located on the derivative alone
     ts = np.linspace(-S / 2, S / 2, 129)
-    vals = np.array([dist_sq(t) for t in ts])
-    i = int(np.argmin(vals))
-    if i in (0, len(ts) - 1):
+    gs = [inner_with_dbubble(t) for t in ts]
+    roots = [
+        brentq(inner_with_dbubble, a, b, xtol=1e-14, rtol=1e-15)
+        for a, b, ga, gb in zip(ts[:-1], ts[1:], gs[:-1], gs[1:])
+        if ga * gb <= 0.0
+    ]
+    fits = [(dist_sq(t), t) for t in roots]
+    if not fits or min(fits)[0] >= min(dist_sq(ts[0]), dist_sq(ts[-1])):
         raise ValueError("no interior distance minimum within |t| <= S/2: "
                          "field too far from the bubble manifold")
-    a, b = ts[i - 1], ts[i + 1]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = dist_sq(c), dist_sq(d)
-    while b - a > 1e-5:  # past this the objective goes roundoff-flat
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = dist_sq(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = dist_sq(d)
-    t_star = 0.5 * (a + b)
-
-    # derivative polish: d/dt dist_sq is proportional to <v, ds V_t>, whose
-    # root is resolvable far below the flat floor of the objective itself
-    width = 10.0 * (b - a)
-    for _ in range(8):
-        lo, hi = t_star - width, t_star + width
-        if inner_with_dbubble(lo) * inner_with_dbubble(hi) < 0:
-            t_star = brentq(inner_with_dbubble, lo, hi, xtol=1e-14, rtol=1e-15)
-            break
-        width *= 4.0
+    d2_star, t_star = min(fits)
 
     g = inner_with_dbubble(t_star)
     dref = math.sqrt(bubble_norm_sq(0.0))  # same scale as ||ds V|| up to O(1)
@@ -183,15 +173,11 @@ def nearest_bubble(v, fit_amplitude=False):
 
     # final distance from the difference field itself; the expanded quadratic
     # form loses half the digits to cancellation near the manifold
-    diff = v.profiles.copy()
-    diff[0] -= scale * root_area * cyl.bubble(t_star)
-    distance = h1_norm(ZonalField(cyl, diff))
+    distance = _distance_to_bubble(v, t_star, scale)
 
-    d2_star = dist_sq(t_star)
-    hgrid = cyl.grid.h
     is_local_min = (
-        dist_sq(t_star + hgrid) >= d2_star - 1e-14 * vn2
-        and dist_sq(t_star - hgrid) >= d2_star - 1e-14 * vn2
+        dist_sq(t_star + h) >= d2_star - 1e-14 * vn2
+        and dist_sq(t_star - h) >= d2_star - 1e-14 * vn2
     )
 
     coeff, _ = project_Y(v, t_star)
@@ -329,7 +315,8 @@ def _ratio_series(p, n, Lam, rel_tol=SERIES_REL_TOL, block=65536, max_terms=1 <<
     the increments decay like k^{-3} and the raw tail like k^{-2}.  Terms are
     accumulated until the integral-comparison bound drops below ``rel_tol``
     relative to the partial sum; the measured decay exponent must reach 2.5
-    before the tail correction is trusted.
+    before the tail correction is trusted.  Running out of ``max_terms``
+    before the target is met logs a warning; the result is still returned.
     """
     xi1 = (2.0 * p - 3.0) / (p - 2.0)
     xi2 = math.sqrt(1.0 + 2.0 * n / Lam) / (p - 2.0)
@@ -376,7 +363,11 @@ def _ratio_series(p, n, Lam, rel_tol=SERIES_REL_TOL, block=65536, max_terms=1 <<
     if math.isfinite(tail) and qfit >= 2.5:
         sign = math.copysign(1.0, float(last_block[1][-1]))
         total += sign * tail
-    return SeriesResult(value=total, terms=k0, tail_bound=tail / max(abs(total), 1e-12))
+    tail_bound = tail / max(abs(total), 1e-12)
+    if k0 >= max_terms and tail_bound > rel_tol:
+        log.warning("ratio series stopped at %d terms with tail bound %.2e above "
+                    "its target %.0e", k0, tail_bound, rel_tol)
+    return SeriesResult(value=total, terms=k0, tail_bound=tail_bound)
 
 
 def compute_R_gamma(params, rel_tol=SERIES_REL_TOL):
@@ -631,7 +622,7 @@ def sharpness_study(obj, mus):
         w = counterexample(cyl, mu)
         r = hminus1_norm(apply_H1(w))
         fit = nearest_bubble(w)
-        _, rem = project_Y(w, fit.t_star)
+        rem = w - fit.projY * _y_mode_field(cyl, fit.t_star)
         perp = _distance_to_bubble(rem, fit.t_star)
         r_naive = hminus1_norm(apply_H1(naive_family(cyl, mu)))
         rows.append((r, fit.distance, fit.projY_norm, perp, r_naive))
@@ -654,7 +645,9 @@ def sharpness_study(obj, mus):
     )
 
 
-def _distance_to_bubble(field, t):
+def _distance_to_bubble(field, t, scale=1.0):
+    """||field - scale V_t||, from the difference field itself."""
+    cyl = field.cyl
     diff_prof = field.profiles.copy()
-    diff_prof[0] -= math.sqrt(sphere_area(field.cyl.params.n)) * field.cyl.bubble(t)
-    return h1_norm(ZonalField(field.cyl, diff_prof))
+    diff_prof[0] -= scale * math.sqrt(sphere_area(cyl.params.n)) * cyl.bubble(t)
+    return h1_norm(ZonalField(cyl, diff_prof))

@@ -28,6 +28,14 @@ def test_inadmissible_pair_rejected():
     assert "inadmissible" in proc.stderr
 
 
+@pytest.mark.parametrize("token", ["3:4:0", "4:3:0.5"])
+def test_bad_range_rejected(token):
+    proc = run_cli(["constants", "--n", "3", "--p", token])
+    assert proc.returncode != 0
+    assert "bad range" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_n2_sweep_cap():
     proc = run_cli(["constants", "--n", "2", "--p", "13"])
     assert proc.returncode != 0

@@ -89,6 +89,19 @@ def test_sector_minima_increase(cyl34):
     assert np.all(np.diff(minima) > 0)
 
 
+@pytest.mark.parametrize("p,n", [(4.0, 3), (3.0, 3), (2.6, 4), (8.0, 2)])
+def test_gamma3_equals_full_sector_scan(p, n):
+    # the early stop in gamma3 must not change its value
+    cyl = ck.Cylinder(ck.from_pn(p, n))
+    full = np.inf
+    for ell in range(cyl.L + 1):
+        k = 3 if ell == 0 else (2 if ell == 1 else 1)
+        for g in ck.eigensolve_sector(cyl, ell, k=k).eigenvalues:
+            if g > p - 1.0 + 1e-6:
+                full = min(full, float(g))
+    assert ck.gamma3(cyl) == full
+
+
 def test_gamma3_grid_stable(par34):
     g_a = ck.gamma3(ck.Cylinder(par34))
     g_b = ck.gamma3(ck.Cylinder(par34, refine=2))

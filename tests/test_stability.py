@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -48,6 +49,17 @@ def test_nearest_bubble_translation_equivariance(par34, cyl34):
 def test_nearest_bubble_norm_guard(cyl34):
     with pytest.raises(ValueError):
         ck.nearest_bubble(0.01 * cyl34.bubble_field())
+
+
+def test_nearest_bubble_rejects_center_outside_scan(cyl34):
+    with pytest.raises(ValueError, match="no interior distance minimum"):
+        ck.nearest_bubble(cyl34.bubble_field(0.8 * cyl34.grid.S))
+
+
+def test_nearest_bubble_negative_amplitude_off_center(cyl34):
+    fit = ck.nearest_bubble(-1.1 * cyl34.bubble_field(0.7), fit_amplitude=True)
+    assert fit.t_star == pytest.approx(0.7, abs=1e-6)
+    assert fit.amplitude == pytest.approx(-1.1, rel=1e-9)
 
 
 def test_project_Y_identity(par34, cyl34):
@@ -176,6 +188,17 @@ def test_R_series_refinement(par34):
 def test_R_series_decay_exponent(par34):
     res = _ratio_series(par34.p, par34.n, par34.Lam)
     assert res.tail_bound <= 1e-9
+
+
+def test_R_series_warns_on_unmet_target(par34, caplog):
+    with caplog.at_level(logging.WARNING, logger="cknstab.stability"):
+        res = _ratio_series(par34.p, par34.n, par34.Lam, max_terms=65536)
+    assert res.tail_bound > 1e-10
+    assert len(caplog.records) == 1
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="cknstab.stability"):
+        _ratio_series(par34.p, par34.n, par34.Lam)
+    assert caplog.records == []
 
 
 def test_R_positive_on_small_sweep():
