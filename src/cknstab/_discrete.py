@@ -124,23 +124,6 @@ def fold_weights(N, parity):
     return w
 
 
-def smallest_singular_estimate(A, iters=6, seed=0):
-    """Cheap inverse-iteration bound for the smallest |eigenvalue| of a Band;
-    used only as a conditioning guard before solves."""
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(A.n)
-    x /= np.linalg.norm(x)
-    est = np.inf
-    for _ in range(iters):
-        y = A.solve(x)
-        ny = np.linalg.norm(y)
-        if not np.isfinite(ny) or ny == 0.0:
-            return 0.0
-        est = 1.0 / ny
-        x = y / ny
-    return est
-
-
 def newton_ground_state(s, h, lam, p, v_init, tol_factor=1e-13, max_iter=12):
     """Discrete positive ground state of -v'' + lam v = v^{p-1} on the grid.
 
@@ -149,6 +132,8 @@ def newton_ground_state(s, h, lam, p, v_init, tol_factor=1e-13, max_iter=12):
     full-grid profile; the residual of the returned iterate is at roundoff
     level of the stencil, so downstream constructions built from it cancel to
     machine precision instead of to the sampling error of the continuum state.
+    Raises ``ArithmeticError`` when the residual still misses that level after
+    ``max_iter`` steps.
     """
     N = len(s)
     D2 = Band.neg_d2(N, h)
@@ -156,10 +141,15 @@ def newton_ground_state(s, h, lam, p, v_init, tol_factor=1e-13, max_iter=12):
     w = fold_weights(N, "even")
     v = fold(np.asarray(v_init, dtype=float), "even")
     scale = D2.ab[2, 0] * float(np.max(v))
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):  # the last pass only checks the last step
         F = A @ v + lam * (w * v) - w * np.abs(v) ** (p - 2.0) * v
-        if np.max(np.abs(F)) < tol_factor * scale:
-            break
+        res = float(np.max(np.abs(F)))
+        if res < tol_factor * scale:
+            return unfold(v, "even")
+        if it == max_iter:
+            raise ArithmeticError(
+                f"ground-state Newton residual {res:.2e} above "
+                f"{tol_factor * scale:.2e} after {max_iter} steps"
+            )
         J = A.shifted(lam * w - (p - 1.0) * w * np.abs(v) ** (p - 2.0))
         v = v - J.solve(F)
-    return unfold(v, "even")

@@ -25,6 +25,7 @@ from . import cylinder as cyl_mod
 from . import multibubble as mb
 from . import spectrum as spec_mod
 from . import stability as stab
+from ._oracles import bubble_mass_exact, inequality_ratio, plane_bubble, sphere_moment_beta
 from .cylinder import Cylinder, Grid, sphere_area, sphere_moment
 from .operators import apply_H1, hminus1_norm, riesz_solve
 from .params import bubble_profile, emden_fowler, felli_schneider_b, from_pn, two_star
@@ -215,13 +216,12 @@ def cmd_spectrum(cfg):
         try:
             cyl = _make_cylinder(cfg, from_pn(p, n))
             sig = f"N={cyl.grid.N};S={cyl.grid.S:.6g}"
-            for ell, k in ((0, 3), (1, 2)):
-                spec = spec_mod.eigensolve_sector(cyl, ell, k=k)
+            g3, spectra = spec_mod.sector_walk(cyl)
+            for spec in spectra[:2]:
                 for i, (g, r) in enumerate(zip(spec.eigenvalues, spec.residuals)):
-                    rows.append({"n": n, "p": p, "ell": ell, "index": i,
+                    rows.append({"n": n, "p": p, "ell": spec.ell, "index": i,
                                  "gamma": float(g), "residual": float(r),
                                  "grid_signature": sig, "error": ""})
-            g3 = spec_mod.gamma3(cyl)
             rows.append({"n": n, "p": p, "ell": "all", "index": "gamma3",
                          "gamma": g3, "residual": 0.0, "grid_signature": sig,
                          "error": ""})
@@ -321,26 +321,15 @@ def _selftest_checks(cfg):
     def moments_vs_beta():
         worst = 0.0
         for n in (2, 3, 4, 5, 6):
-            area_nm1 = 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
             for k in range(5):
-                # |S^{n-2}| * B(k + 1/2, (n-1)/2) in log-Gamma form
-                oracle = area_nm1 * math.exp(
-                    math.lgamma(k + 0.5) + math.lgamma((n - 1) / 2.0)
-                    - math.lgamma(k + n / 2.0)
-                )
+                oracle = sphere_moment_beta(n, k)
                 got = sphere_moment(n, k)
                 worst = max(worst, abs(got - oracle) / oracle)
         return worst <= 1e-12, f"max moment defect {worst:.2e}"
 
     def bubble_mass():
-        from scipy.special import gammaln
-
-        q = par.p
-        m = q / (par.p - 2.0)
-        exact = par.beta**q * math.sqrt(math.pi) * math.exp(
-            gammaln(m) - gammaln(m + 0.5)
-        ) / par.alpha
-        got = cyl.quad_s(cyl.bubble() ** q)
+        exact = bubble_mass_exact(par, par.p)
+        got = cyl.quad_s(cyl.bubble() ** par.p)
         return abs(got - exact) / exact <= 1e-9, f"rel err {abs(got-exact)/exact:.2e}"
 
     def zonal_gram():
@@ -375,12 +364,7 @@ def _selftest_checks(cfg):
     def emden_fowler_roundtrip():
         s = np.arange(-cyl.grid.S, cyl.grid.S, 0.005)
         r = np.exp(-s)
-        lam_scale = math.exp(1.0)
-        w = math.sqrt(par.Lam) * (par.p - 2.0)
-        U = lam_scale ** math.sqrt(par.Lam) * (2 * par.p * par.Lam) ** (
-            1.0 / (par.p - 2.0)
-        ) / (1.0 + (lam_scale * r) ** w) ** (2.0 / (par.p - 2.0))
-        fld = emden_fowler(r, U, par, cyl)
+        fld = emden_fowler(r, plane_bubble(par, math.e, r), par, cyl)
         err = np.max(np.abs(fld.radial_profile() - bubble_profile(par, cyl.grid.s, 1.0)))
         return err <= 1e-10, f"max err {err:.2e}"
 
@@ -396,17 +380,10 @@ def _selftest_checks(cfg):
         return abs(a - b) <= 1e-15, f"branch gap {abs(a-b):.2e}"
 
     def elementary_inequalities():
-        p = par.p
         x = rng.standard_normal(10000) * 10 ** rng.uniform(-3, 3, 10000)
         y = rng.standard_normal(10000) * 10 ** rng.uniform(-3, 3, 10000)
-        lhs = np.abs(
-            np.abs(x + y) ** (p - 2) * (x + y)
-            - np.abs(x) ** (p - 2) * x
-            - (p - 1) * np.abs(x) ** (p - 2) * y
-        )
-        rhs = (p > 3) * np.abs(x) ** (p - 3) * y**2 + np.abs(y) ** (p - 1)
-        c1 = np.max(lhs / rhs)
-        return np.isfinite(c1), f"sup ratio {c1:.3f}"
+        c1 = inequality_ratio(par.p, x, y)
+        return math.isfinite(c1), f"sup ratio {c1:.3f}"
 
     return [
         ("curve_roundtrip", curve_roundtrip),

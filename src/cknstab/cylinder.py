@@ -128,10 +128,16 @@ class SphereQuad:
 
     Weights are scaled so that constants integrate to |S^{n-1}|; harmonics are
     generated by the Gegenbauer three-term recurrence (Chebyshev for n = 2)
-    and normalized against the quadrature itself.
+    and normalized against the quadrature itself.  The rule is exact for the
+    degree-2L products Y_l Y_m only when M >= L + 1, and the spectral gap
+    needs the sectors ell = 0 and 1, so L >= 1 and M >= L + 1 are required.
     """
 
     def __init__(self, n, M=DEFAULT_M, L=DEFAULT_L):
+        if L < 1 or M < L + 1:
+            raise ValueError(
+                f"angular rule needs L >= 1 and M >= L + 1, got L={L}, M={M}"
+            )
         self.n = int(n)
         self.M = int(M)
         self.L = int(L)
@@ -141,14 +147,12 @@ class SphereQuad:
         Y = np.empty((L + 1, M))
         Y[0] = 1.0
         if n == 2:
-            if L >= 1:
-                Y[1] = x
+            Y[1] = x
             for l in range(1, L):
                 Y[l + 1] = 2.0 * x * Y[l] - Y[l - 1]
         else:
             lam = (n - 2) / 2.0
-            if L >= 1:
-                Y[1] = 2.0 * lam * x
+            Y[1] = 2.0 * lam * x
             for l in range(1, L):
                 Y[l + 1] = (2 * (l + lam) * x * Y[l] - (l + 2 * lam - 1) * Y[l - 1]) / (l + 1)
         for l in range(L + 1):

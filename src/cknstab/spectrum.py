@@ -23,7 +23,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ._discrete import fold, fold_weights, unfold
 
-__all__ = ["SectorSpectrum", "eigensolve_sector", "gamma3"]
+__all__ = ["SectorSpectrum", "eigensolve_sector", "gamma3", "sector_walk"]
 
 B_FLOOR = 1e-300  # keeps the pencil definite where the weight underflows
 
@@ -101,22 +101,37 @@ def eigensolve_sector(cyl, ell, k=3):
     )
 
 
-def gamma3(cyl, margin=1e-6):
-    """Smallest eigenvalue strictly above p - 1 across sectors ell <= L.
+def sector_walk(cyl, margin=1e-6):
+    """The gap gamma3 and the sector spectra solved to find it.
 
-    Sector ell's pencil is (A_0 + ell(ell+n-2) I, B), so by Courant-Fischer
-    each of its eigenvalues is nondecreasing in ell.  Sectors are walked
-    upward and the walk stops at the first one whose smallest eigenvalue
-    is already no lower than the best candidate: no later sector can lower it.
+    Sectors ell = 0, 1, 2, ... are solved with k = 3, 2, 1 eigenvalues; the
+    returned list holds them in that order and always starts with sectors 0
+    and 1 (the walk needs L >= 1).  Sector ell's pencil is
+    (A_0 + ell(ell+n-2) I, B), so by Courant-Fischer each of its eigenvalues
+    is nondecreasing in ell.  The walk stops after the first sector whose
+    smallest eigenvalue is already no lower than the best candidate: no later
+    sector can lower it.
     """
     p = cyl.params.p
     best = np.inf
+    spectra = []
     for ell in range(cyl.L + 1):
         k = 3 if ell == 0 else (2 if ell == 1 else 1)
         spec = eigensolve_sector(cyl, ell, k=k)
+        spectra.append(spec)
         if spec.eigenvalues[0] >= best:
             break  # every eigenvalue of every later sector is at least this one
         for gamma in spec.eigenvalues:
             if gamma > p - 1.0 + margin:
                 best = min(best, float(gamma))
-    return best
+    return best, spectra
+
+
+def gamma3(cyl, margin=1e-6):
+    """Smallest eigenvalue strictly above p - 1 across sectors ell <= L.
+
+    The sectors are walked upward by :func:`sector_walk`, which stops at the
+    first sector that cannot lower the gap: by Courant-Fischer the pencil
+    (A_0 + ell(ell+n-2) I, B) has eigenvalues nondecreasing in ell.
+    """
+    return sector_walk(cyl, margin)[0]

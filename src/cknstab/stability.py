@@ -281,8 +281,7 @@ def compute_E0(obj, eps=0.0):
     M0 = form(Lam)
     b0 = ((p - 1.0) * (p - 2.0) / n) * lin
     con = mass * V ** (p - 1.0)
-    y1 = (2.0 * M0).solve(b0)
-    y2 = (2.0 * M0).solve(con)
+    y1, y2 = (2.0 * M0).solve(np.column_stack([b0, con])).T
     denom = float(con @ y2)
     if denom >= 0.0:
         raise ArithmeticError(

@@ -1,8 +1,4 @@
-import math
-
-import numpy as np
 import pytest
-from scipy.special import gammaln
 
 import cknstab as ck
 
@@ -15,23 +11,3 @@ def par34():
 @pytest.fixture(scope="session")
 def cyl34(par34):
     return ck.Cylinder(par34)
-
-
-def bubble_mass_exact(params, q):
-    """Closed form of int_R V0^q ds through Gamma functions."""
-    m = q / (params.p - 2.0)
-    return (
-        params.beta**q
-        * math.sqrt(math.pi)
-        * math.exp(gammaln(m) - gammaln(m + 0.5))
-        / params.alpha
-    )
-
-
-def plane_bubble(params, lam, r):
-    """The flat-space ground state at scale lam, sampled at radii r."""
-    w = math.sqrt(params.Lam) * (params.p - 2.0)
-    amp = lam ** math.sqrt(params.Lam) * (2.0 * params.p * params.Lam) ** (
-        1.0 / (params.p - 2.0)
-    )
-    return amp / (1.0 + (lam * r) ** w) ** (2.0 / (params.p - 2.0))

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+import cknstab as ck
 from cknstab import cli
+from cknstab import spectrum as spec_mod
 
 
 def run_cli(args):
@@ -73,6 +75,39 @@ def test_spectrum_rows_and_determinism(tmp_path):
     assert abs(gammas[("0", "1")] - 3.0) <= 1e-4
     assert abs(gammas[("1", "0")] - 3.0) <= 1e-4
     assert gammas[("all", "gamma3")] > 3.0
+
+
+def test_spectrum_solves_each_sector_once(tmp_path, monkeypatch):
+    solve = spec_mod.eigensolve_sector
+    calls = []
+
+    def counted(cyl, ell, k=3):
+        calls.append((ell, k))
+        return solve(cyl, ell, k=k)
+
+    monkeypatch.setattr(spec_mod, "eigensolve_sector", counted)
+    out = tmp_path / "s.json"
+    assert cli.main(["spectrum", "--n", "3", "--p", "4", "--format", "json",
+                     "--out", str(out)]) == 0
+    assert calls == [(0, 3), (1, 2), (2, 1)]  # the rows reuse the gap's walk
+    rows = json.loads(out.read_text())["rows"]
+    cyl = ck.Cylinder(ck.from_pn(4.0, 3))
+    for ell, k in ((0, 3), (1, 2)):
+        spec = solve(cyl, ell, k=k)
+        expect = [(i, float(g), float(r))
+                  for i, (g, r) in enumerate(zip(spec.eigenvalues, spec.residuals))]
+        assert [(r["index"], r["gamma"], r["residual"])
+                for r in rows if r["ell"] == ell] == expect
+
+
+def test_spectrum_rejects_L0(tmp_path):
+    out = tmp_path / "s.csv"
+    assert cli.main(["spectrum", "--n", "3", "--p", "4", "--L", "0",
+                     "--out", str(out)]) == 3
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 2
+    assert lines[1].endswith("ValueError: angular rule needs L >= 1 and M >= L + 1, "
+                             "got L=0, M=64")
 
 
 def test_constants_json_meta(tmp_path):

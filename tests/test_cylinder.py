@@ -7,15 +7,7 @@ from hypothesis import strategies as st
 
 import cknstab as ck
 from cknstab.cylinder import duality_pairing, l2_norm_sq, pointwise_map_with_tail
-from conftest import bubble_mass_exact
-
-
-def beta_moment_oracle(n, k):
-    """|S^{n-2}| B(k+1/2, (n-1)/2), the x-integral route to the moments."""
-    area_nm1 = 2.0 * math.pi ** ((n - 1) / 2.0) / math.gamma((n - 1) / 2.0)
-    return area_nm1 * math.exp(
-        math.lgamma(k + 0.5) + math.lgamma((n - 1) / 2.0) - math.lgamma(k + n / 2.0)
-    )
+from cknstab._oracles import bubble_mass_exact, inequality_ratio, sphere_moment_beta
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
@@ -28,7 +20,7 @@ def test_sphere_moment_total_measure(n):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 7])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sphere_moment_vs_beta_oracle(n, k):
-    assert ck.sphere_moment(n, k) == pytest.approx(beta_moment_oracle(n, k), rel=1e-13)
+    assert ck.sphere_moment(n, k) == pytest.approx(sphere_moment_beta(n, k), rel=1e-13)
     if k == 1:
         assert ck.sphere_moment(n, 1) == pytest.approx(ck.sphere_moment(n, 0) / n, rel=1e-13)
     if k == 2:
@@ -42,6 +34,18 @@ def test_zonal_orthonormality(n):
     quad = ck.SphereQuad(n)
     assert quad.gram_defect() <= 1e-12
     assert float(np.sum(quad.w)) == pytest.approx(ck.sphere_area(n), rel=1e-13)
+
+
+@pytest.mark.parametrize("L, M", [(0, 64), (-1, 64), (8, 8), (3, 3)])
+def test_sphere_quad_rejects_bad_degrees(L, M):
+    # M = L gives a Gram defect of 0.84 at n = 3, L = 8; L = 0 leaves no
+    # ell = 1 sector for the spectral gap
+    with pytest.raises(ValueError, match="L >= 1 and M >= L \\+ 1"):
+        ck.SphereQuad(3, M=M, L=L)
+
+
+def test_sphere_quad_smallest_rule_is_exact():
+    assert ck.SphereQuad(3, M=9, L=8).gram_defect() <= 1e-12
 
 
 def test_h1_norm_of_bubble_equals_lp_mass(par34, cyl34):
@@ -209,14 +213,8 @@ def test_elementary_inequality_first(p):
     rng = np.random.default_rng(12345)
     x = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-3, 3, 10_000)
     y = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-3, 3, 10_000)
-    lhs = np.abs(
-        np.abs(x + y) ** (p - 2) * (x + y)
-        - np.abs(x) ** (p - 2) * x
-        - (p - 1) * np.abs(x) ** (p - 2) * y
-    )
-    rhs = float(p > 3) * np.abs(x) ** (p - 3) * y**2 + np.abs(y) ** (p - 1)
-    full = _sup_ratio(lhs, rhs)
-    half = _sup_ratio(lhs[:5000], rhs[:5000])
+    full = inequality_ratio(p, x, y)
+    half = inequality_ratio(p, x[:5000], y[:5000])
     assert math.isfinite(full)
     assert full <= 2.0 * half + 1e-9  # stable under doubling the sample
 

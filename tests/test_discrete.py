@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cknstab._discrete import Band, fold, fold_weights, unfold
+from cknstab._discrete import Band, fold, fold_weights, newton_ground_state, unfold
 
 H = 0.05
 
@@ -113,3 +113,10 @@ def test_band_is_frozen():
     band = Band.neg_d2(129, H)
     with pytest.raises(ValueError):
         band.ab[2, 0] = 0.0
+
+
+def test_newton_raises_when_not_converged(par34, cyl34):
+    # two steps from 1.5 V0 leave a residual of about 0.2, far above the target
+    with pytest.raises(ArithmeticError, match="Newton residual"):
+        newton_ground_state(cyl34.grid.s, cyl34.grid.h, par34.Lam, par34.p,
+                            1.5 * cyl34.bubble(), max_iter=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cknstab as ck
-from conftest import bubble_mass_exact
+from cknstab._oracles import bubble_mass_exact
 
 
 def test_config_validation(par34):

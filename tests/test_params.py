@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cknstab as ck
-from conftest import plane_bubble
+from cknstab._oracles import plane_bubble
 
 
 def test_from_pn_p4_n3():

@@ -6,7 +6,7 @@ import pytest
 
 import cknstab as ck
 from cknstab.stability import _ratio_series
-from conftest import bubble_mass_exact
+from cknstab._oracles import bubble_mass_exact
 
 
 # --- manifold fitting -------------------------------------------------------
