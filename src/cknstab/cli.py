@@ -241,7 +241,8 @@ def cmd_sharpness(cfg):
     rows = []
     for p, n in cfg["pairs"]:
         try:
-            rep = stab.sharpness_study(from_pn(p, n), cfg["mu"])
+            cyl = _make_cylinder(cfg, from_pn(p, n), refine=stab.STUDY_REFINE)
+            rep = stab.sharpness_study(cyl, cfg["mu"])
             for i, mu in enumerate(rep.mus):
                 rows.append({
                     "n": n, "p": p, "kind": "sample", "mu": float(mu),
@@ -267,6 +268,11 @@ def cmd_sharpness(cfg):
 
 
 def cmd_interactions(cfg):
+    defaults = {"grid_N": None, "grid_S": None,
+                "L": cyl_mod.DEFAULT_L, "M": cyl_mod.DEFAULT_M}
+    if any(cfg[key] != val for key, val in defaults.items()):
+        raise SystemExit("interactions builds its own grid per gap: "
+                         "--grid-N, --grid-S, --L and --M must keep their defaults")
     columns = ["n", "p", "kind", "gap", "value", "predicted", "ratio", "error"]
     rows = []
     for p, n in cfg["pairs"]:

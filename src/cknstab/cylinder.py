@@ -291,9 +291,6 @@ class ZonalField:
     def __neg__(self):
         return ZonalField(self.cyl, -self.profiles)
 
-    def h1_norm(self):
-        return h1_norm(self)
-
     def boundary_ratio(self):
         """max boundary value over max value, per the truncation contract."""
         peak = float(np.max(np.abs(self.profiles)))

@@ -18,7 +18,6 @@ function of the cylinder and reruns give bitwise-identical output.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ._discrete import fold, fold_weights, unfold
@@ -64,7 +63,8 @@ def eigensolve_sector(cyl, ell, k=3):
             # v0 rather than rng=: pyproject allows scipy>=1.10, which predates rng.
             vals, vecs = eigsh(
                 LinearOperator(shape, matvec=A.__matmul__, dtype=float),
-                k=k, M=diags(b), sigma=0.0, which="LM", v0=np.ones(A.n),
+                k=k, M=LinearOperator(shape, matvec=lambda x: b * x, dtype=float),
+                sigma=0.0, which="LM", v0=np.ones(A.n),
                 OPinv=LinearOperator(shape, matvec=A.cho_solve, dtype=float),
             )
         except ArpackNoConvergence as exc:

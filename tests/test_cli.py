@@ -168,6 +168,23 @@ def test_sharpness_command_slopes(tmp_path):
     assert abs(slopes["naive_residual"] - 2.0) <= 0.1
 
 
+@pytest.mark.parametrize("flags", [["--L", "0"], ["--grid-N", "129"]])
+def test_sharpness_uses_grid_flags(tmp_path, flags):
+    out = tmp_path / "s.json"
+    status = cli.main(["sharpness", "--n", "3", "--p", "4", *flags,
+                       "--format", "json", "--out", str(out)])
+    assert status == 3
+    doc = json.loads(out.read_text())
+    assert doc["rows"][0]["error"].startswith("ValueError")
+
+
+@pytest.mark.parametrize("flags", [["--grid-N", "4097"], ["--grid-S", "30"],
+                                   ["--L", "4"], ["--M", "32"]])
+def test_interactions_rejects_grid_flags(flags):
+    with pytest.raises(SystemExit, match="must keep their defaults"):
+        cli.main(["interactions", "--n", "3", "--p", "4", *flags])
+
+
 def test_interactions_command(tmp_path):
     out = tmp_path / "i.csv"
     proc = run_cli(["interactions", "--n", "3", "--p", "4", "--gaps", "5", "9",

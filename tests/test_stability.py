@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cknstab as ck
+from cknstab import stability
 from cknstab.stability import _ratio_series
 from cknstab._oracles import bubble_mass_exact
 
@@ -179,9 +180,10 @@ def test_R_routes_agree(par34, cyl34):
     assert terms > 1000
 
 
-def test_R_series_refinement(par34):
-    a, _, _ = ck.compute_R_gamma(par34, rel_tol=1e-10)
-    b, _, _ = ck.compute_R_gamma(par34, rel_tol=1e-13)
+def test_R_series_refinement(par34, monkeypatch):
+    b, _, _ = ck.compute_R_gamma(par34)
+    monkeypatch.setattr(stability, "SERIES_HEAD", 512)
+    a, _, _ = ck.compute_R_gamma(par34)
     assert abs(a - b) / abs(b) <= 1e-9
 
 
@@ -190,15 +192,36 @@ def test_R_series_decay_exponent(par34):
     assert res.tail_bound <= 1e-9
 
 
-def test_R_series_warns_on_unmet_target(par34, caplog):
+def test_R_series_warns_on_unmet_target(par34, caplog, monkeypatch):
+    monkeypatch.setattr(stability, "SERIES_HEAD", 8)
     with caplog.at_level(logging.WARNING, logger="cknstab.stability"):
-        res = _ratio_series(par34.p, par34.n, par34.Lam, max_terms=65536)
+        res = _ratio_series(par34.p, par34.n, par34.Lam)
     assert res.tail_bound > 1e-10
     assert len(caplog.records) == 1
     caplog.clear()
+    monkeypatch.undo()
     with caplog.at_level(logging.WARNING, logger="cknstab.stability"):
         _ratio_series(par34.p, par34.n, par34.Lam)
     assert caplog.records == []
+
+
+# (S(-xi) - S(0)) / P(-1) with S(c) = P(c) 4F3(c + a, 1; c + b; 1), evaluated
+# once by mpmath at 30 digits
+@pytest.mark.parametrize("n, p, oracle", [
+    (3, 4.0, 0.83758724741880097),
+    (5, 2.2, 0.73057203296053654),
+    (2, 2.5, 0.4100395143710971),
+    (2, 9.0, 0.7676629523520949),
+])
+def test_R_series_matches_hypergeometric_oracle(n, p, oracle):
+    par = ck.from_pn(p, n)
+    res = _ratio_series(par.p, par.n, par.Lam)
+    assert abs(res.value - oracle) <= 1e-12 * oracle
+
+
+def test_R_series_rejects_gamma_pole():
+    with pytest.raises(ArithmeticError, match="Gamma pole"):
+        _ratio_series(4.0, 3, 1e9)
 
 
 def test_R_positive_on_small_sweep():
