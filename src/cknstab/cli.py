@@ -130,14 +130,19 @@ def resolve_config(args):
 
 
 def _make_cylinder(cfg, params, refine=1):
-    if cfg["grid_N"] is None and cfg["grid_S"] is None:
-        grid = cyl_mod.default_grid(params, refine)
-    else:
-        base = cyl_mod.default_grid(params, refine)
-        S = cfg["grid_S"] if cfg["grid_S"] is not None else base.S
-        N = cfg["grid_N"] if cfg["grid_N"] is not None else base.N
-        grid = Grid(S=S, N=N)
+    base = cyl_mod.default_grid(params, refine)
+    grid = Grid(S=base.S if cfg["grid_S"] is None else cfg["grid_S"],
+                N=base.N if cfg["grid_N"] is None else cfg["grid_N"])
     return Cylinder(params, grid=grid, L=cfg["L"], M=cfg["M"])
+
+
+def _refuse_grid_flags(cfg, why):
+    """Stop a command that builds its own grids when a grid flag is set."""
+    defaults = {"grid_N": None, "grid_S": None,
+                "L": cyl_mod.DEFAULT_L, "M": cyl_mod.DEFAULT_M}
+    if any(cfg[key] != val for key, val in defaults.items()):
+        raise SystemExit(f"{cfg['command']} {why}: "
+                         "--grid-N, --grid-S, --L and --M must keep their defaults")
 
 
 def _fmt(v):
@@ -268,11 +273,7 @@ def cmd_sharpness(cfg):
 
 
 def cmd_interactions(cfg):
-    defaults = {"grid_N": None, "grid_S": None,
-                "L": cyl_mod.DEFAULT_L, "M": cyl_mod.DEFAULT_M}
-    if any(cfg[key] != val for key, val in defaults.items()):
-        raise SystemExit("interactions builds its own grid per gap: "
-                         "--grid-N, --grid-S, --L and --M must keep their defaults")
+    _refuse_grid_flags(cfg, "builds its own grid per gap")
     columns = ["n", "p", "kind", "gap", "value", "predicted", "ratio", "error"]
     rows = []
     for p, n in cfg["pairs"]:
@@ -407,6 +408,7 @@ def _selftest_checks(cfg):
 
 
 def cmd_selftest(cfg):
+    _refuse_grid_flags(cfg, "runs on its own fixed grid")
     failures = 0
     rows = []
     for name, check in _selftest_checks(cfg):

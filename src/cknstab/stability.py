@@ -60,7 +60,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-STUDY_REFINE = 10       # resolution multiplier for the w(mu) machinery
+STUDY_REFINE = 2  # refine 1 fails the 1e-7 corrector guard; 10 is at the h^-2 roundoff floor
 SERIES_HEAD = 1024      # head terms K of the R series; its value is cut at 2K
 SERIES_REL_TOL = 1e-10  # relative tail bound above which the R series warns
 
@@ -500,9 +500,8 @@ def corrector(obj):
     return _corrector(_as_cylinder(obj, refine=STUDY_REFINE))
 
 
-# Same size as _cached_cylinder: when every cylinder comes from that cache, as
-# in the CLI's sharpness sweep, both caches hold the same cylinders and this
-# one keeps none alive longer.
+# Same size as _cached_cylinder: for callers that pass CknParams, both caches
+# hold the same cylinders and this one keeps none alive longer.
 @lru_cache(maxsize=CACHE_SIZE)
 def _corrector(cyl):
     p, n, Lam = cyl.params.p, cyl.params.n, cyl.params.Lam
@@ -535,9 +534,7 @@ def _corrector(cyl):
     res_hm1 = hminus1_norm(res_field)
 
     vfield = cyl.bubble_field(discrete=True)
-    dprof = np.zeros((cyl.L + 1, cyl.grid.N))
-    dprof[0] = math.sqrt(sphere_area(n)) * cyl.bubble_ds()
-    dvfield = ZonalField(cyl, dprof)
+    dvfield = cyl.from_radial(cyl.bubble_ds())
     yfield = cyl.from_theta_power(V ** (p / 2.0), 1)
     orth = (
         h1_inner(eta, vfield) / h1_norm(eta) / h1_norm(vfield),

@@ -158,11 +158,13 @@ def test_constants_column_tracks_critical_limit(tmp_path):
 
 
 def test_sharpness_command_slopes(tmp_path):
-    out = tmp_path / "s.json"
-    proc = run_cli(["sharpness", "--n", "3", "--p", "4", "--format", "json",
-                    "--out", str(out)])
-    assert proc.returncode == 0
-    doc = json.loads(out.read_text())
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for path in (a, b):
+        proc = run_cli(["sharpness", "--n", "3", "--p", "4", "--format", "json",
+                        "--out", str(path)])
+        assert proc.returncode == 0
+    assert a.read_bytes() == b.read_bytes()
+    doc = json.loads(a.read_text())
     slopes = [r for r in doc["rows"] if r["kind"] == "slopes"][0]
     assert abs(slopes["residual"] - 3.0) <= 0.1
     assert abs(slopes["naive_residual"] - 2.0) <= 0.1
@@ -178,11 +180,19 @@ def test_sharpness_uses_grid_flags(tmp_path, flags):
     assert doc["rows"][0]["error"].startswith("ValueError")
 
 
-@pytest.mark.parametrize("flags", [["--grid-N", "4097"], ["--grid-S", "30"],
-                                   ["--L", "4"], ["--M", "32"]])
+GRID_FLAGS = [["--grid-N", "4097"], ["--grid-S", "30"], ["--L", "4"], ["--M", "32"]]
+
+
+@pytest.mark.parametrize("flags", GRID_FLAGS)
 def test_interactions_rejects_grid_flags(flags):
     with pytest.raises(SystemExit, match="must keep their defaults"):
         cli.main(["interactions", "--n", "3", "--p", "4", *flags])
+
+
+@pytest.mark.parametrize("flags", GRID_FLAGS)
+def test_selftest_rejects_grid_flags(flags):
+    with pytest.raises(SystemExit, match="selftest runs on its own fixed grid"):
+        cli.main(["selftest", *flags])
 
 
 def test_interactions_command(tmp_path):

@@ -305,3 +305,13 @@ def test_sharpness_input_validation(par34):
 
 def test_corrector_computed_once_per_cylinder(par34):
     assert ck.corrector(par34) is ck.corrector(par34)
+
+
+def test_sharpness_study_converged_in_the_grid(par34):
+    """Doubling STUDY_REFINE moves the study by far less than its gates allow."""
+    mus = np.geomspace(1e-3, 3e-2, 7)
+    coarse = ck.sharpness_study(par34, mus)
+    fine = ck.sharpness_study(ck.Cylinder(par34, refine=2 * stability.STUDY_REFINE), mus)
+    assert np.max(np.abs(coarse.residuals / fine.residuals - 1.0)) <= 1e-3
+    assert np.max(np.abs(coarse.distances / fine.distances - 1.0)) <= 1e-8
+    assert abs(coarse.residual_slope - fine.residual_slope) <= 1e-3
