@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ._discrete import Band, fold, fold_weights, unfold
+from ._discrete import Band, fold, fold_weights, nonlinearity, unfold
 from .cylinder import ZonalField, duality_pairing, pointwise_map_with_tail
 
 __all__ = [
@@ -52,7 +52,7 @@ def apply_H1(v):
     out = np.empty_like(v.profiles)
     for l in range(cyl.L + 1):
         out[l] = -(cyl.sector_ops[l] @ v.profiles[l])
-    nonlin, tail = pointwise_map_with_tail(v, lambda z: np.abs(z) ** (p - 2.0) * z)
+    nonlin, tail = pointwise_map_with_tail(v, lambda z: nonlinearity(z, p))
     if tail > TAIL_BUDGET:
         log.warning("nonlinearity shed %.2e of its angular energy (budget %e)", tail, TAIL_BUDGET)
     return Residual(cyl, out + nonlin.profiles, tail_fraction=tail)

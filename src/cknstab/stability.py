@@ -37,7 +37,7 @@ from .cylinder import (
     sphere_moment,
 )
 from .operators import apply_H1, bvp_solve, hminus1_norm
-from .params import CknParams
+from .params import CknParams, bubble_profile_ds
 
 __all__ = [
     "BubbleFit",
@@ -105,13 +105,16 @@ def nearest_bubble(v, fit_amplitude=False):
     Both objectives are stationary exactly where <v, ds V_t> vanishes: without
     the amplitude d/dt ||v - V_t||^2 = 2 <v, ds V_t> (||V_t||^2 is translation
     invariant up to truncation), and with it the derivative carries the extra
-    factor <v, V_t> / ||V_t||^2.  So <v, ds V_t> is scanned on 129 points of
-    |t| <= S/2, every sign change is polished to a root by brentq, and the
-    root with the smallest objective is the center.  It must beat both ends
-    of the scan, or the field is too far from the bubble manifold.
+    factor <v, V_t> / ||V_t||^2.  So <v, ds V_t> is scanned at the lattice
+    shifts t = j h nearest to 129 equispaced points of |t| <= S/2 (32 h apart
+    when N = 8193).  A lattice shift slides the sampled bubble along the grid,
+    so each scan value pairs v with a window of one ds V profile sampled on
+    the grid lattice extended by the scan half-width (:func:`_dbubble_scan`).
+    Every sign change is polished to a root by brentq on the exact pairing,
+    and the root with the smallest objective is the center.  It must beat
+    both ends of the scan, or the field is too far from the bubble manifold.
     """
     cyl = v.cyl
-    S = cyl.grid.S
     vn = h1_norm(v)
     ref = math.sqrt(sphere_area(cyl.params.n) * cyl.quad_s(cyl.bubble() ** cyl.params.p))
     if not (0.1 * ref <= vn <= 10.0 * ref):
@@ -145,8 +148,7 @@ def nearest_bubble(v, fit_amplitude=False):
 
     # the root of <v, ds V_t> is resolvable far below the flat floor of the
     # objective itself, so the center is located on the derivative alone
-    ts = np.linspace(-S / 2, S / 2, 129)
-    gs = [inner_with_dbubble(t) for t in ts]
+    ts, gs = _dbubble_scan(cyl, u0)
     roots = [
         brentq(inner_with_dbubble, a, b, xtol=1e-14, rtol=1e-15)
         for a, b, ga, gb in zip(ts[:-1], ts[1:], gs[:-1], gs[1:])
@@ -192,6 +194,29 @@ def nearest_bubble(v, fit_amplitude=False):
         stationarity=stationarity,
         is_local_min=is_local_min,
     )
+
+
+def _scan_lattice(grid):
+    """Distinct j with j h nearest to 129 equispaced points of |t| <= S/2."""
+    half = grid.S / 2
+    return np.unique(np.rint(np.linspace(-half, half, 129) / grid.h).astype(int))
+
+
+def _dbubble_scan(cyl, u0):
+    """Scan shifts t = j h and their pairings <v, ds V_t>, from u0 = A_0 v_0.
+
+    With m = (N-1)//2, ds V_{jh} on the grid is ds V sampled at s = k h for
+    k = -m-j .. m-j: a window of one profile sampled for |k| <= m + max|j|.
+    The scan costs that one profile and one N-long dot product per shift.
+    """
+    h, N = cyl.grid.h, cyl.grid.N
+    js = _scan_lattice(cyl.grid)
+    J = int(max(-js[0], js[-1]))
+    m = (N - 1) // 2
+    ext = bubble_profile_ds(cyl.params, h * np.arange(-m - J, m + J + 1))
+    root_area = math.sqrt(sphere_area(cyl.params.n))
+    gs = [h * float(u0 @ ext[J - j:J - j + N]) * root_area for j in js]
+    return h * js, gs
 
 
 def _y_mode_field(cyl, t=0.0, discrete=False):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from cknstab._discrete import Band, fold, fold_weights, newton_ground_state, unfold
+from cknstab._discrete import (
+    Band, fold, fold_weights, newton_ground_state, nonlinearity, unfold,
+)
 
 H = 0.05
 
@@ -120,3 +122,12 @@ def test_newton_raises_when_not_converged(par34, cyl34):
     with pytest.raises(ArithmeticError, match="Newton residual"):
         newton_ground_state(cyl34.grid.s, cyl34.grid.h, par34.Lam, par34.p,
                             1.5 * cyl34.bubble(), max_iter=2)
+
+
+@pytest.mark.parametrize("p", [3.0, 4.0, 3.5, 2.6])
+def test_nonlinearity_matches_pow_form(p):
+    rng = np.random.default_rng(11)
+    z = rng.standard_normal(4001) * 10.0 ** rng.uniform(-6.0, 3.0, 4001)
+    z[::40] = 0.0
+    # within 2 ulp, not bitwise: a vectorized pow need not be correctly rounded
+    np.testing.assert_array_max_ulp(nonlinearity(z, p), np.abs(z) ** (p - 2.0) * z, maxulp=2)

@@ -63,6 +63,33 @@ def test_nearest_bubble_negative_amplitude_off_center(cyl34):
     assert fit.amplitude == pytest.approx(-1.1, rel=1e-9)
 
 
+def test_fit_scan_matches_direct_pairings(par34, cyl34):
+    v = cyl34.bubble_field(0.37) + 0.05 * cyl34.from_radial(cyl34.bubble(-2.0) ** 2)
+    u0 = cyl34.sector_ops[0] @ v.profiles[0]
+    ts, gs = stability._dbubble_scan(cyl34, u0)
+    root_area = math.sqrt(ck.sphere_area(par34.n))
+    direct = np.array([cyl34.grid.h * float(u0 @ cyl34.bubble_ds(t)) * root_area for t in ts])
+    np.testing.assert_allclose(gs, direct, rtol=1e-12)
+
+
+def test_nearest_bubble_off_multiple_lattice(par34, cyl34):
+    # m = 2049 is not a multiple of 128, so the scan points are rounded to the lattice
+    cyl = ck.Cylinder(par34, grid=ck.Grid(S=cyl34.grid.S, N=4099))
+    fit = ck.nearest_bubble(cyl.bubble_field(0.37))
+    assert fit.t_star == pytest.approx(0.37, abs=1e-8)
+    assert fit.stationarity <= 1e-8
+
+
+@pytest.mark.parametrize("N", [129, 131, 255, 1001, 4097, 4099, 8193, 40961])
+def test_fit_scan_points_distinct(N):
+    grid = ck.Grid(S=20.0, N=N)
+    js = stability._scan_lattice(grid)
+    assert np.all(np.diff(js) > 0)
+    assert np.all(np.abs(js * grid.h) <= grid.S / 2 + grid.h / 2)
+    if (N - 1) % 256 == 0:  # m a multiple of 128: 129 points, evenly spaced
+        assert len(js) == 129 and np.all(np.diff(js) == (N - 1) // 256)
+
+
 def test_project_Y_identity(par34, cyl34):
     yprof = np.zeros((cyl34.L + 1, cyl34.grid.N))
     yprof[1] = cyl34.bubble(0.4) ** (par34.p / 2.0)
