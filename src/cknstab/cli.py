@@ -9,12 +9,15 @@ interactions  pairwise interaction windows and bubble-sum residuals
 selftest      quick battery over the package invariants (exit code reports)
 
 Output is CSV (default) or JSON; identical config and seed give identical
-bytes.  A flat key=value config file can seed any option; explicit flags win.
+bytes.  Each line ``key = value`` of a --config file reads as the flag
+``--key value`` placed before the command line, so explicit flags win.
 A sweep keeps the rows of points that failed, with their ``error`` column
 filled, and then exits with status 3.
 """
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -40,7 +43,7 @@ def _parse_values(tokens):
         if ":" in str(tok):
             a, b, step = (float(x) for x in str(tok).split(":"))
             if step <= 0 or b < a:
-                raise SystemExit(f"bad range {tok!r}: need a <= b and step > 0")
+                raise ValueError(f"bad range {tok!r}: need a <= b and step > 0")
             k = int(math.floor((b - a) / step + 1e-9))
             out.extend(a + i * step for i in range(k + 1))
         else:
@@ -51,27 +54,30 @@ def _parse_values(tokens):
 def build_parser():
     ap = argparse.ArgumentParser(prog="cknstab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
+    mus, gaps = list(np.geomspace(1e-3, 3e-2, 7)), list(np.linspace(4.0, 12.0, 9))
     for name in ("constants", "spectrum", "sharpness", "interactions", "selftest"):
-        sp = sub.add_parser(name)
+        # no prefix matching, so a config key or flag must name a whole option
+        sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", help="flat key=value file; flags override")
-        sp.add_argument("--n", nargs="*", type=int, default=None)
-        sp.add_argument("--p", nargs="*", default=None,
+        sp.add_argument("--n", nargs="*", type=int, default=[3])
+        sp.add_argument("--p", nargs="*", default=["4.0"],
                         help="values or a:b:step ranges")
         sp.add_argument("--grid-N", dest="grid_N", type=int, default=None)
         sp.add_argument("--grid-S", dest="grid_S", type=float, default=None)
-        sp.add_argument("--L", type=int, default=None)
-        sp.add_argument("--M", type=int, default=None)
-        sp.add_argument("--mu", nargs="*", type=float, default=None)
-        sp.add_argument("--gaps", nargs="*", type=float, default=None,
+        sp.add_argument("--L", type=int, default=cyl_mod.DEFAULT_L)
+        sp.add_argument("--M", type=int, default=cyl_mod.DEFAULT_M)
+        sp.add_argument("--mu", nargs="*", type=float, default=mus)
+        sp.add_argument("--gaps", nargs="*", type=float, default=gaps,
                         help="center gaps in units of 1/sqrt(Lambda)")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default=None)
-        sp.add_argument("--seed", type=int, default=None)
+        sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
+        sp.add_argument("--seed", type=int, default=0)
     return ap
 
 
-def _load_config_file(path):
-    cfg = {}
+def _config_flags(path):
+    """The flags ``--key value...`` spelled by a flat ``key = value`` file."""
+    flags = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -80,50 +86,42 @@ def _load_config_file(path):
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw!r}")
             key, val = (x.strip() for x in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key == "format":
-                key = "fmt"
-            cfg[key] = val.split()
-    return cfg
+            key = "format" if key == "fmt" else key.replace("_", "-")
+            if key == "config":
+                raise ValueError("config files do not nest")
+            flags += [f"--{key}", *val.split()]
+    return flags
 
 
-def resolve_config(args):
-    """Merge file values under explicit flags and fill defaults."""
-    file_cfg = _load_config_file(args.config) if args.config else {}
+def resolve_config(argv=None):
+    """Parse argv, with its --config file's flags ahead of it, and check the pairs.
 
-    def pick(name, cast, default):
-        cli_val = getattr(args, name, None)
-        if cli_val is not None:
-            return cli_val
-        if name in file_cfg:
-            return cast(file_cfg[name])
-        return default
-
-    ns = pick("n", lambda v: [int(x) for x in v], [3])
-    ps = pick("p", list, ["4.0"])
-    cfg = {
-        "command": args.command,
-        "n": ns,
-        "p": _parse_values(ps),
-        "grid_N": pick("grid_N", lambda v: int(v[0]), None),
-        "grid_S": pick("grid_S", lambda v: float(v[0]), None),
-        "L": pick("L", lambda v: int(v[0]), cyl_mod.DEFAULT_L),
-        "M": pick("M", lambda v: int(v[0]), cyl_mod.DEFAULT_M),
-        "mu": pick("mu", lambda v: [float(x) for x in v],
-                   list(np.geomspace(1e-3, 3e-2, 7))),
-        "gaps": pick("gaps", lambda v: [float(x) for x in v],
-                     list(np.linspace(4.0, 12.0, 9))),
-        "out": pick("out", lambda v: v[0], None),
-        "fmt": pick("fmt", lambda v: v[0], "csv"),
-        "seed": pick("seed", lambda v: int(v[0]), 0),
-    }
+    The file goes through the same parser as the command line, so an unknown
+    key or a bad value stops with a usage error, and an explicit flag, seen
+    after the file's, wins.
+    """
+    ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = ap.parse_args(argv)
+    if args.config:
+        try:
+            flags = _config_flags(args.config)
+        except (OSError, ValueError) as exc:
+            ap.error(str(exc))
+        # argv[0] is the command: the top-level parser takes nothing else
+        args = ap.parse_args([args.command, *flags, *argv[1:]])
+    cfg = vars(args)
+    try:
+        cfg["p"] = _parse_values(cfg["p"])
+    except ValueError as exc:
+        ap.error(f"argument --p: {exc}")
     pairs = []
     for n in cfg["n"]:
         for p in cfg["p"]:
             if not (2.0 < p < two_star(n)):
-                raise SystemExit(f"inadmissible pair (p, n) = ({p}, {n})")
+                ap.error(f"inadmissible pair (p, n) = ({p}, {n})")
             if n == 2 and p > N2_P_CAP:
-                raise SystemExit(f"n = 2 sweeps are capped at p <= {N2_P_CAP}")
+                ap.error(f"n = 2 sweeps are capped at p <= {N2_P_CAP}")
             pairs.append((p, n))
     cfg["pairs"] = pairs
     return cfg
@@ -153,9 +151,11 @@ def _fmt(v):
 
 def emit(cfg, columns, rows, meta):
     if cfg["fmt"] == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt(r.get(c, "")) for c in columns) for r in rows]
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_fmt(r.get(c, "")) for c in columns] for r in rows)
+        text = buf.getvalue()
     else:
         text = json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
     if cfg["out"] in (None, "-"):
@@ -163,15 +163,6 @@ def emit(cfg, columns, rows, meta):
     else:
         with open(cfg["out"], "w") as fh:
             fh.write(text)
-
-
-def _exit_status(rows):
-    """3 when any sweep row carries an error (summarized on stderr), else 0."""
-    failed = sum(1 for r in rows if r.get("error"))
-    if not failed:
-        return 0
-    print(f"cknstab: {failed} of {len(rows)} rows carry an error", file=sys.stderr)
-    return 3
 
 
 def _meta(cfg):
@@ -187,55 +178,69 @@ def _meta(cfg):
     }
 
 
+def _sweep(cfg, columns, point_rows, **error_cells):
+    """Emit the rows ``point_rows(p, n)`` yields at every pair; return the exit status.
+
+    A point that raises keeps the rows it yielded before and adds one row with
+    ``error_cells`` and the ``error`` column filled; the sweep goes on.  The
+    status is 3 when any row carries an error (summarized on stderr), else 0.
+    """
+    rows = []
+    for p, n in cfg["pairs"]:
+        try:
+            rows.extend(point_rows(p, n))
+        except Exception as exc:  # keep the sweep alive, record the failure
+            rows.append({"n": n, "p": p, **error_cells,
+                         "error": f"{type(exc).__name__}: {exc}"})
+    emit(cfg, columns, rows, _meta(cfg))
+    failed = sum(1 for r in rows if r["error"])
+    if not failed:
+        return 0
+    print(f"cknstab: {failed} of {len(rows)} rows carry an error", file=sys.stderr)
+    return 3
+
+
 def cmd_constants(cfg):
     columns = [
         "n", "p", "E0", "F", "E0_over_F_plus_1", "R_energy", "R_gamma",
         "rel_discrepancy", "series_terms", "tail_bound", "residual_floor",
         "grid_signature", "error",
     ]
-    rows = []
-    for p, n in cfg["pairs"]:
-        row = {"n": n, "p": p, "error": ""}
-        try:
-            cyl = _make_cylinder(cfg, from_pn(p, n))
-            sc = stab.stability_constants(cyl)
-            floor = hminus1_norm(apply_H1(cyl.bubble_field()))
-            row.update(
-                E0=sc.E0, F=sc.F, E0_over_F_plus_1=sc.E0 / sc.F + 1.0,
-                R_energy=sc.R_energy, R_gamma=sc.R_gamma,
-                rel_discrepancy=abs(sc.R_energy - sc.R_gamma) / sc.R_gamma,
-                series_terms=sc.series_terms, tail_bound=sc.tail_bound,
-                residual_floor=floor, grid_signature=sc.grid_signature,
-            )
-        except Exception as exc:  # keep the sweep alive, record the failure
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    emit(cfg, columns, rows, _meta(cfg))
-    return _exit_status(rows)
+
+    def point_rows(p, n):
+        cyl = _make_cylinder(cfg, from_pn(p, n))
+        sc = stab.stability_constants(cyl)
+        floor = hminus1_norm(apply_H1(cyl.bubble_field()))
+        yield {
+            "n": n, "p": p, "E0": sc.E0, "F": sc.F,
+            "E0_over_F_plus_1": sc.E0 / sc.F + 1.0,
+            "R_energy": sc.R_energy, "R_gamma": sc.R_gamma,
+            "rel_discrepancy": abs(sc.R_energy - sc.R_gamma) / sc.R_gamma,
+            "series_terms": sc.series_terms, "tail_bound": sc.tail_bound,
+            "residual_floor": floor, "grid_signature": sc.grid_signature,
+            "error": "",
+        }
+
+    return _sweep(cfg, columns, point_rows)
 
 
 def cmd_spectrum(cfg):
     columns = ["n", "p", "ell", "index", "gamma", "residual", "grid_signature", "error"]
-    rows = []
-    for p, n in cfg["pairs"]:
-        try:
-            cyl = _make_cylinder(cfg, from_pn(p, n))
-            sig = f"N={cyl.grid.N};S={cyl.grid.S:.6g}"
-            g3, spectra = spec_mod.sector_walk(cyl)
-            for spec in spectra[:2]:
-                for i, (g, r) in enumerate(zip(spec.eigenvalues, spec.residuals)):
-                    rows.append({"n": n, "p": p, "ell": spec.ell, "index": i,
-                                 "gamma": float(g), "residual": float(r),
-                                 "grid_signature": sig, "error": ""})
-            rows.append({"n": n, "p": p, "ell": "all", "index": "gamma3",
-                         "gamma": g3, "residual": 0.0, "grid_signature": sig,
-                         "error": ""})
-        except Exception as exc:
-            rows.append({"n": n, "p": p, "ell": "", "index": "",
-                         "gamma": "", "residual": "", "grid_signature": "",
-                         "error": f"{type(exc).__name__}: {exc}"})
-    emit(cfg, columns, rows, _meta(cfg))
-    return _exit_status(rows)
+
+    def point_rows(p, n):
+        cyl = _make_cylinder(cfg, from_pn(p, n))
+        sig = f"N={cyl.grid.N};S={cyl.grid.S:.6g}"
+        g3, spectra = spec_mod.sector_walk(cyl)
+        for spec in spectra[:2]:
+            for i, (g, r) in enumerate(zip(spec.eigenvalues, spec.residuals)):
+                yield {"n": n, "p": p, "ell": spec.ell, "index": i,
+                       "gamma": float(g), "residual": float(r),
+                       "grid_signature": sig, "error": ""}
+        yield {"n": n, "p": p, "ell": "all", "index": "gamma3", "gamma": g3,
+               "residual": 0.0, "grid_signature": sig, "error": ""}
+
+    return _sweep(cfg, columns, point_rows, ell="", index="", gamma="",
+                  residual="", grid_signature="")
 
 
 def cmd_sharpness(cfg):
@@ -243,68 +248,59 @@ def cmd_sharpness(cfg):
         "n", "p", "kind", "mu", "residual", "distance", "proj_norm",
         "perp_distance", "naive_residual", "ratio", "error",
     ]
-    rows = []
-    for p, n in cfg["pairs"]:
-        try:
-            cyl = _make_cylinder(cfg, from_pn(p, n), refine=stab.STUDY_REFINE)
-            rep = stab.sharpness_study(cyl, cfg["mu"])
-            for i, mu in enumerate(rep.mus):
-                rows.append({
-                    "n": n, "p": p, "kind": "sample", "mu": float(mu),
-                    "residual": float(rep.residuals[i]),
-                    "distance": float(rep.distances[i]),
-                    "proj_norm": float(rep.proj_norms[i]),
-                    "perp_distance": float(rep.perp_distances[i]),
-                    "naive_residual": float(rep.naive_residuals[i]),
-                    "ratio": float(rep.ratios[i]), "error": "",
-                })
-            rows.append({
-                "n": n, "p": p, "kind": "slopes", "mu": "",
-                "residual": rep.residual_slope, "distance": rep.distance_slope,
-                "proj_norm": rep.proj_slope, "perp_distance": rep.perp_slope,
-                "naive_residual": rep.naive_slope,
-                "ratio": float(rep.ratios[-1]), "error": "",
-            })
-        except Exception as exc:
-            rows.append({"n": n, "p": p, "kind": "error", "mu": "",
-                         "error": f"{type(exc).__name__}: {exc}"})
-    emit(cfg, columns, rows, _meta(cfg))
-    return _exit_status(rows)
+
+    def point_rows(p, n):
+        cyl = _make_cylinder(cfg, from_pn(p, n), refine=stab.STUDY_REFINE)
+        rep = stab.sharpness_study(cyl, cfg["mu"])
+        for i, mu in enumerate(rep.mus):
+            yield {
+                "n": n, "p": p, "kind": "sample", "mu": float(mu),
+                "residual": float(rep.residuals[i]),
+                "distance": float(rep.distances[i]),
+                "proj_norm": float(rep.proj_norms[i]),
+                "perp_distance": float(rep.perp_distances[i]),
+                "naive_residual": float(rep.naive_residuals[i]),
+                "ratio": float(rep.ratios[i]), "error": "",
+            }
+        yield {
+            "n": n, "p": p, "kind": "slopes", "mu": "",
+            "residual": rep.residual_slope, "distance": rep.distance_slope,
+            "proj_norm": rep.proj_slope, "perp_distance": rep.perp_slope,
+            "naive_residual": rep.naive_slope,
+            "ratio": float(rep.ratios[-1]), "error": "",
+        }
+
+    return _sweep(cfg, columns, point_rows, kind="error", mu="")
 
 
 def cmd_interactions(cfg):
     _refuse_grid_flags(cfg, "builds its own grid per gap")
     columns = ["n", "p", "kind", "gap", "value", "predicted", "ratio", "error"]
-    rows = []
-    for p, n in cfg["pairs"]:
-        try:
-            par = from_pn(p, n)
-            rl = par.sqrt_lam
-            for rel_gap in cfg["gaps"]:
-                gap = rel_gap / rl
-                v1 = mb.interaction(par, 0.0, gap, 1.0, p - 1.0)
-                pred1 = math.exp(-rl * gap)
-                v2 = mb.interaction(par, 0.0, gap, p / 2.0, p / 2.0)
-                pred2 = (gap + 1.0) * math.exp(-p * rl / 2.0 * gap)
-                v3 = mb.interaction_derivative(par, 0.0, gap)
-                pred3 = math.exp(-rl * gap)
-                cfg2 = mb.BubbleConfig(params=par, centers=(-gap / 2, gap / 2))
-                diag = mb.bubble_sum_residual(cfg2)
-                for kind, val, pred in (
-                    ("pair_min_exponent", v1, pred1),
-                    ("pair_balanced", v2, pred2),
-                    ("derivative", v3, pred3),
-                    ("sum_residual", diag.residual, diag.Q),
-                    (f"gap_norm_W{diag.norm_index}", diag.nonlinear_gap_norm, 1.0),
-                ):
-                    rows.append({"n": n, "p": p, "kind": kind, "gap": gap,
-                                 "value": val, "predicted": pred,
-                                 "ratio": val / pred, "error": ""})
-        except Exception as exc:
-            rows.append({"n": n, "p": p, "kind": "error", "gap": "",
-                         "error": f"{type(exc).__name__}: {exc}"})
-    emit(cfg, columns, rows, _meta(cfg))
-    return _exit_status(rows)
+
+    def point_rows(p, n):
+        par = from_pn(p, n)
+        rl = par.sqrt_lam
+        for rel_gap in cfg["gaps"]:
+            gap = rel_gap / rl
+            v1 = mb.interaction(par, 0.0, gap, 1.0, p - 1.0)
+            pred1 = math.exp(-rl * gap)
+            v2 = mb.interaction(par, 0.0, gap, p / 2.0, p / 2.0)
+            pred2 = (gap + 1.0) * math.exp(-p * rl / 2.0 * gap)
+            v3 = mb.interaction_derivative(par, 0.0, gap)
+            pred3 = math.exp(-rl * gap)
+            cfg2 = mb.BubbleConfig(params=par, centers=(-gap / 2, gap / 2))
+            diag = mb.bubble_sum_residual(cfg2)
+            for kind, val, pred in (
+                ("pair_min_exponent", v1, pred1),
+                ("pair_balanced", v2, pred2),
+                ("derivative", v3, pred3),
+                ("sum_residual", diag.residual, diag.Q),
+                (f"gap_norm_W{diag.norm_index}", diag.nonlinear_gap_norm, 1.0),
+            ):
+                yield {"n": n, "p": p, "kind": kind, "gap": gap, "value": val,
+                       "predicted": pred, "ratio": val / pred, "error": ""}
+
+    return _sweep(cfg, columns, point_rows, kind="error", gap="")
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +422,7 @@ def cmd_selftest(cfg):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    cfg = resolve_config(args)
+    cfg = resolve_config(argv)
     handler = {
         "constants": cmd_constants,
         "spectrum": cmd_spectrum,

@@ -219,9 +219,9 @@ def _dbubble_scan(cyl, u0):
     return h * js, gs
 
 
-def _y_mode_field(cyl, t=0.0, discrete=False):
+def _y_mode_field(cyl, t=0.0):
     """The degenerate direction V_t^{p/2} Y_1 as a field (normalized basis)."""
-    prof = (cyl.ground_state if discrete else cyl.bubble(t)) ** (cyl.params.p / 2.0)
+    prof = cyl.bubble(t) ** (cyl.params.p / 2.0)
     profiles = np.zeros((cyl.L + 1, cyl.grid.N))
     profiles[1] = prof
     return ZonalField(cyl, profiles)

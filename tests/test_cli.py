@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -104,10 +105,11 @@ def test_spectrum_rejects_L0(tmp_path):
     out = tmp_path / "s.csv"
     assert cli.main(["spectrum", "--n", "3", "--p", "4", "--L", "0",
                      "--out", str(out)]) == 3
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 2
-    assert lines[1].endswith("ValueError: angular rule needs L >= 1 and M >= L + 1, "
-                             "got L=0, M=64")
+    with open(out, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 1 and len(rows[0]) == len(header) == 8
+    assert rows[0][header.index("error")] == ("ValueError: angular rule needs L >= 1 "
+                                              "and M >= L + 1, got L=0, M=64")
 
 
 def test_constants_json_meta(tmp_path):
@@ -136,6 +138,63 @@ def test_config_file_with_override(tmp_path):
                     "--out", str(out2)])
     assert proc.returncode == 0
     assert out2.read_text().startswith("n,p,ell")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("grid_n = 129", "unrecognized arguments: --grid-n 129"),
+    ("m = 32", "unrecognized arguments: --m 32"),
+    ("format = xml", "argument --format: invalid choice: 'xml'"),
+    ("seed = abc", "argument --seed: invalid int value: 'abc'"),
+    ("p = abc", "argument --p: could not convert string to float: 'abc'"),
+    ("grid_N 129", "bad config line: 'grid_N 129\\n'"),
+    ("config = other.cfg", "config files do not nest"),
+    ("p = 6.5", "inadmissible pair (p, n) = (6.5, 3)"),
+], ids=["unknown_key", "abbreviation", "bad_choice", "bad_int", "bad_p", "no_equals",
+        "nested", "inadmissible"])
+def test_config_file_rejects_bad_input(tmp_path, capsys, line, message):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"n = 3\np = 4.0\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_keys_are_long_flags(tmp_path):
+    """``_`` and ``-`` are interchangeable in keys, and ``fmt`` means ``format``."""
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("n = 3\np = 4\nfmt = json\ngrid_N = 129\ngrid-S = 40\nM = 32\n")
+    out = tmp_path / "o.json"
+    assert cli.main(["constants", "--config", str(cfgfile), "--out", str(out)]) == 3
+    doc = json.loads(out.read_text())
+    assert doc["meta"]["M"] == 32
+    assert doc["rows"][0]["error"] == "ValueError: grid spacing 0.625 exceeds 0.05"
+
+
+INTERACTION_KINDS = ["pair_min_exponent", "pair_balanced", "derivative",
+                     "sum_residual", "gap_norm_W2"]
+
+
+@pytest.mark.parametrize("argv, clean_kinds, cells", [
+    (["constants", "--grid-N", "129"], [], {}),
+    (["spectrum", "--L", "0"], [],
+     {"ell": "", "index": "", "gamma": "", "residual": "", "grid_signature": ""}),
+    (["sharpness", "--grid-N", "129"], [], {"kind": "error", "mu": ""}),
+    (["interactions", "--gaps", "5", "600"], INTERACTION_KINDS, {"kind": "error", "gap": ""}),
+], ids=["constants", "spectrum", "sharpness", "interactions"])
+def test_failed_point_row(tmp_path, capsys, argv, clean_kinds, cells):
+    """A failing point keeps the rows it made, adds one error row, and exits 3."""
+    out = tmp_path / "f.json"
+    status = cli.main([argv[0], "--n", "3", "--p", "4", *argv[1:],
+                       "--format", "json", "--out", str(out)])
+    assert status == 3
+    rows = json.loads(out.read_text())["rows"]
+    assert capsys.readouterr().err == f"cknstab: 1 of {len(rows)} rows carry an error\n"
+    *clean, failed = rows
+    assert [r["kind"] for r in clean] == clean_kinds
+    assert all(r["error"] == "" for r in clean)
+    assert failed.pop("error").startswith("ValueError: ")
+    assert failed == {"n": 3, "p": 4.0, **cells}
 
 
 def test_selftest_exits_clean():
