@@ -17,6 +17,7 @@ filled, and then exits with status 3.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -51,16 +52,21 @@ def _parse_values(tokens):
     return out
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every later call.
+
+    Shared defaults are tuples, so no run can change what the next one sees.
+    """
     ap = argparse.ArgumentParser(prog="cknstab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    mus, gaps = list(np.geomspace(1e-3, 3e-2, 7)), list(np.linspace(4.0, 12.0, 9))
+    mus, gaps = tuple(np.geomspace(1e-3, 3e-2, 7)), tuple(np.linspace(4.0, 12.0, 9))
     for name in ("constants", "spectrum", "sharpness", "interactions", "selftest"):
         # no prefix matching, so a config key or flag must name a whole option
         sp = sub.add_parser(name, allow_abbrev=False)
         sp.add_argument("--config", help="flat key=value file; flags override")
-        sp.add_argument("--n", nargs="*", type=int, default=[3])
-        sp.add_argument("--p", nargs="*", default=["4.0"],
+        sp.add_argument("--n", nargs="*", type=int, default=(3,))
+        sp.add_argument("--p", nargs="*", default=("4.0",),
                         help="values or a:b:step ranges")
         sp.add_argument("--grid-N", dest="grid_N", type=int, default=None)
         sp.add_argument("--grid-S", dest="grid_S", type=float, default=None)

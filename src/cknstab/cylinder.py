@@ -5,7 +5,7 @@ stored by its coefficients against L^2-normalized zonal harmonics Y_l of the
 polar angle, one axial profile per degree l <= L.  The axial direction is a
 uniform grid on [-S, S] with homogeneous Dirichlet truncation; the angular
 direction is a Gauss-Jacobi rule in x = theta_n that integrates polynomial
-integrands of degree <= 2M-1 exactly.
+integrands of degree <= 2M-1 exactly against the weight (1 - x^2)^{(n-3)/2}.
 
 The H^1 inner product used everywhere is
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.linalg import eigh_tridiagonal
 
 from . import params as _params
 from ._discrete import Band, newton_ground_state
@@ -123,9 +123,32 @@ def default_grid(params, refine=1):
     return Grid(S=S, N=N)
 
 
-class SphereQuad:
-    """Gauss-Jacobi nodes/weights in x = theta_n plus a zonal-harmonic table.
+def gauss_gegenbauer(M, lam):
+    """M-point Gauss rule for the weight (1 - x^2)^{lam - 1/2} on [-1, 1].
 
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix of the orthonormal Gegenbauer polynomials and the weights are the
+    squared first eigenvector components, which sum to 1.  Both are
+    symmetrized, so the rule is exactly odd/even about x = 0.  At M = 64
+    they agree with 40-digit rules to 4e-16 (nodes) and 1.5e-13 relative
+    (weights) for lam = 0 ... 3.5.
+    """
+    if lam == 0.0:  # Chebyshev: the general entry is 0/0 at k = 1
+        off = np.full(M - 1, 0.5)
+        off[:1] = math.sqrt(0.5)
+    else:
+        k = np.arange(1.0, M)
+        off = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
+    x, V = eigh_tridiagonal(np.zeros(M), off)
+    w = V[0] ** 2
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+
+
+class SphereQuad:
+    """Golub-Welsch Gauss-Jacobi rule in x = theta_n plus a zonal-harmonic table.
+
+    The rule is :func:`gauss_gegenbauer` with lam = (n-2)/2, i.e. the
+    Jacobi weight (1 - x^2)^{(n-3)/2} of the polar angle on S^{n-1}.
     Weights are scaled so that constants integrate to |S^{n-1}|; harmonics are
     generated by the Gegenbauer three-term recurrence (Chebyshev for n = 2)
     and normalized against the quadrature itself.  The rule is exact for the
@@ -141,8 +164,8 @@ class SphereQuad:
         self.n = int(n)
         self.M = int(M)
         self.L = int(L)
-        a = (n - 3) / 2.0
-        x, w = roots_jacobi(M, a, a)
+        lam = (n - 2) / 2.0
+        x, w = gauss_gegenbauer(M, lam)
         w = w * (sphere_area(n) / w.sum())
         Y = np.empty((L + 1, M))
         Y[0] = 1.0
@@ -151,7 +174,6 @@ class SphereQuad:
             for l in range(1, L):
                 Y[l + 1] = 2.0 * x * Y[l] - Y[l - 1]
         else:
-            lam = (n - 2) / 2.0
             Y[1] = 2.0 * lam * x
             for l in range(1, L):
                 Y[l + 1] = (2 * (l + lam) * x * Y[l] - (l + 2 * lam - 1) * Y[l - 1]) / (l + 1)

@@ -23,13 +23,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import roots_legendre
 
 from ._discrete import Band, fold, fold_weights
 from .cylinder import (
     Cylinder,
     ZonalField,
+    gauss_gegenbauer,
     h1_inner,
     h1_norm,
     l2_norm_sq,
@@ -63,6 +62,9 @@ log = logging.getLogger(__name__)
 STUDY_REFINE = 2  # refine 1 fails the 1e-7 corrector guard; 10 is at the h^-2 roundoff floor
 SERIES_HEAD = 1024      # head terms K of the R series; its value is cut at 2K
 SERIES_REL_TOL = 1e-10  # relative tail bound above which the R series warns
+# 24-point Gauss-Legendre rule on [-1, 1] (weights sum to 2) for the R series
+_GL24_NODES, _GL24_WEIGHTS = gauss_gegenbauer(24, 0.5)
+_GL24_WEIGHTS = 2.0 * _GL24_WEIGHTS
 
 
 def _as_cylinder(obj, refine=1):
@@ -110,9 +112,10 @@ def nearest_bubble(v, fit_amplitude=False):
     when N = 8193).  A lattice shift slides the sampled bubble along the grid,
     so each scan value pairs v with a window of one ds V profile sampled on
     the grid lattice extended by the scan half-width (:func:`_dbubble_scan`).
-    Every sign change is polished to a root by brentq on the exact pairing,
-    and the root with the smallest objective is the center.  It must beat
-    both ends of the scan, or the field is too far from the bubble manifold.
+    Every sign change is polished to a root by Brent's method
+    (:func:`_brentq`) on the exact pairing, and the root with the smallest
+    objective is the center.  It must beat both ends of the scan, or the
+    field is too far from the bubble manifold.
     """
     cyl = v.cyl
     vn = h1_norm(v)
@@ -150,7 +153,7 @@ def nearest_bubble(v, fit_amplitude=False):
     # objective itself, so the center is located on the derivative alone
     ts, gs = _dbubble_scan(cyl, u0)
     roots = [
-        brentq(inner_with_dbubble, a, b, xtol=1e-14, rtol=1e-15)
+        _brentq(inner_with_dbubble, a, b, xtol=1e-14, rtol=1e-15)
         for a, b, ga, gb in zip(ts[:-1], ts[1:], gs[:-1], gs[1:])
         if ga * gb <= 0.0
     ]
@@ -194,6 +197,58 @@ def nearest_bubble(v, fit_amplitude=False):
         stationarity=stationarity,
         is_local_min=is_local_min,
     )
+
+
+def _brentq(f, xa, xb, xtol, rtol):
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A port of scipy's C ``brentq``, step for step, so it returns the same
+    float: the bracket is kept as xpre / xcur / xblk, a step is a secant or
+    inverse quadratic extrapolation when it is shorter than half the step
+    before last and than 3/2 of the bisection step, else a bisection.  Stops
+    when the bracket is below xtol + rtol |x|.  Raises ValueError when f has
+    the same sign at both ends and RuntimeError after 100 iterations.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur}")
 
 
 def _scan_lattice(grid):
@@ -373,13 +428,12 @@ def _ratio_series(p, n, Lam):
         return math.exp(logP(c) - logPm1) * np.concatenate(([1.0], np.cumprod(steps)))
 
     f = run(-xi) - run(0.0)
-    nodes, weights = roots_legendre(24)
 
     def cut(c):
         """The head below c plus the Euler-Maclaurin tail at c."""
         integral = 0.5 * xi * sum(
             w * math.exp(logP(c - 0.5 * xi * (1.0 - x)) - logPm1)
-            for x, w in zip(nodes, weights)
+            for x, w in zip(_GL24_NODES, _GL24_WEIGHTS)
         )
         g = f[c - 3:c + 4]
         d1 = g @ np.array((-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0)) / 60.0

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import cknstab as ck
@@ -18,6 +19,31 @@ def run_cli(args):
         timeout=600,
     )
     return proc
+
+
+def test_cli_import_floor():
+    """Importing the CLI loads banded LAPACK and ARPACK, not the rest of scipy."""
+    code = ("import sys, cknstab.cli; print(*(m for m in "
+            "('scipy.special', 'scipy.optimize', 'scipy.interpolate') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "\n"
+
+
+def test_parser_is_built_once_and_keeps_its_defaults(monkeypatch):
+    seen = []
+
+    def record(cfg):
+        seen.append(cfg["mu"])
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_sharpness", record)
+    assert cli.main(["sharpness", "--mu", "0.01"]) == 0
+    assert cli.main(["sharpness"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert list(seen[0]) == [0.01]
+    assert list(seen[1]) == list(np.geomspace(1e-3, 3e-2, 7))
 
 
 def test_range_syntax():
@@ -262,4 +288,7 @@ def test_interactions_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("n,p,kind,gap")
     assert sum("pair_min_exponent" in ln for ln in lines) == 2
-    assert not any(",error" not in lines[0] and "Error" in ln for ln in lines[1:])
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 10
+    assert all(row["error"] == "" for row in rows)

@@ -48,6 +48,22 @@ def test_sphere_quad_smallest_rule_is_exact():
     assert ck.SphereQuad(3, M=9, L=8).gram_defect() <= 1e-12
 
 
+@pytest.mark.parametrize("M", [12, 24, 64])
+@pytest.mark.parametrize("n", range(2, 10))
+def test_sphere_quad_matches_roots_jacobi(n, M):
+    from scipy.special import roots_jacobi  # reference only; the package avoids it
+
+    quad = ck.SphereQuad(n, M=M, L=min(ck.cylinder.DEFAULT_L, M - 1))
+    a = (n - 3) / 2.0
+    x, w = roots_jacobi(M, a, a)
+    np.testing.assert_allclose(quad.x, x, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(quad.w, w * (ck.sphere_area(n) / w.sum()), rtol=5e-12)
+    # exact for x^{2k}, 2k <= 2M - 1 (measured 3e-14 at worst)
+    for k in range(M):
+        assert float(quad.w @ quad.x ** (2 * k)) == pytest.approx(
+            ck.sphere_moment(n, k), rel=1e-13)
+
+
 def test_h1_norm_of_bubble_equals_lp_mass(par34, cyl34):
     f = cyl34.bubble_field()
     lhs = ck.h1_inner(f, f)

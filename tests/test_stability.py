@@ -90,6 +90,77 @@ def test_fit_scan_points_distinct(N):
         assert len(js) == 129 and np.all(np.diff(js) == (N - 1) // 256)
 
 
+def _brent_family():
+    """Seeded smooth, steep and flat-root functions with brackets of both orientations."""
+    rng = np.random.default_rng(2024)
+    for i in range(240):
+        r, s = rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-2.0, 3.0)
+        f = [
+            lambda x, r=r, s=s: math.tanh(s * (x - r)) + 0.05 * (x - r),  # smooth
+            lambda x, r=r, s=s: math.sinh(max(-700.0, min(s * (x - r), 700.0))),  # steep
+            lambda x, r=r, s=s: s * (x - r) ** 3,                           # flat root
+            lambda x, r=r, s=s: math.atan(s * (x - r) ** 5),                # flatter root
+        ][i % 4]
+        a, b = rng.uniform(-3.0, r), rng.uniform(r, 3.0)
+        yield (f, a, b) if rng.random() < 0.5 else (f, b, a)
+
+
+def _outcome(solver, f, a, b):
+    """The root or the exception type, and every abscissa the solver tried."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    try:
+        return solver(g, a, b, xtol=1e-14, rtol=1e-15), xs
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), xs
+
+
+def test_brentq_port_matches_scipy_bitwise():
+    from scipy.optimize import brentq  # reference only; the package avoids it
+
+    results = []
+    for f, a, b in _brent_family():
+        want = _outcome(brentq, f, a, b)
+        assert _outcome(stability._brentq, f, a, b) == want, (a, b)
+        results.append(want[0])
+    # the family reaches both exits: converged roots and the iteration cap
+    assert sum(isinstance(r, float) for r in results) >= 100
+    assert results.count(RuntimeError) >= 50
+
+
+def test_brentq_port_edge_cases():
+    from scipy.optimize import brentq
+
+    def line(x):
+        return x - 1.0
+
+    for a, b in ((1.0, 3.0), (-2.0, 1.0)):  # a root at either endpoint
+        assert stability._brentq(line, a, b, 1e-14, 1e-15) == 1.0
+        assert brentq(line, a, b, xtol=1e-14, rtol=1e-15) == 1.0
+    with pytest.raises(ValueError, match="different signs"):
+        stability._brentq(line, 2.0, 3.0, 1e-14, 1e-15)
+    with pytest.raises(ValueError):
+        brentq(line, 2.0, 3.0, xtol=1e-14, rtol=1e-15)
+    # at the triple root of x^3 Brent's method converges only linearly and
+    # is still 2e-10 away after 100 iterations: both give up there
+    calls = []
+
+    def cube(x):
+        calls.append(x)
+        return x**3
+
+    with pytest.raises(RuntimeError, match="after 100 iterations"):
+        stability._brentq(cube, -1.0, 2.0, 1e-14, 1e-15)
+    assert len(calls) == 102
+    with pytest.raises(RuntimeError, match="after 100 iterations"):
+        brentq(cube, -1.0, 2.0, xtol=1e-14, rtol=1e-15)
+    assert calls[:102] == calls[102:]
+
+
 def test_project_Y_identity(par34, cyl34):
     yprof = np.zeros((cyl34.L + 1, cyl34.grid.N))
     yprof[1] = cyl34.bubble(0.4) ** (par34.p / 2.0)
@@ -212,6 +283,14 @@ def test_R_series_refinement(par34, monkeypatch):
     monkeypatch.setattr(stability, "SERIES_HEAD", 512)
     a, _, _ = ck.compute_R_gamma(par34)
     assert abs(a - b) / abs(b) <= 1e-9
+
+
+def test_R_series_legendre_rule_matches_roots_legendre():
+    from scipy.special import roots_legendre  # reference only; the package avoids it
+
+    x, w = roots_legendre(24)
+    np.testing.assert_allclose(stability._GL24_NODES, x, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(stability._GL24_WEIGHTS, w, rtol=5e-12)
 
 
 def test_R_series_decay_exponent(par34):
