@@ -133,8 +133,8 @@ def nonlinearity(z, p):
     return np.abs(z) ** (p - 2.0) * z
 
 
-def newton_ground_state(s, h, lam, p, v_init, tol_factor=1e-13, max_iter=12):
-    """Discrete positive ground state of -v'' + lam v = v^{p-1} on the grid.
+def newton_ground_state(D2, lam, p, v_init, tol_factor=1e-13, max_iter=12):
+    """Discrete positive ground state of -v'' + lam v = v^{p-1}, with -d^2 the band D2.
 
     Solves on the even half grid (the state is even, and the odd translation
     mode would otherwise make the Jacobian numerically singular).  Returns the
@@ -144,10 +144,8 @@ def newton_ground_state(s, h, lam, p, v_init, tol_factor=1e-13, max_iter=12):
     Raises ``ArithmeticError`` when the residual still misses that level after
     ``max_iter`` steps.
     """
-    N = len(s)
-    D2 = Band.neg_d2(N, h)
     A = D2.fold("even")
-    w = fold_weights(N, "even")
+    w = fold_weights(D2.n, "even")
     v = fold(np.asarray(v_init, dtype=float), "even")
     scale = D2.ab[2, 0] * float(np.max(v))
     for it in range(max_iter + 1):  # the last pass only checks the last step

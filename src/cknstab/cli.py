@@ -124,7 +124,7 @@ def resolve_config(argv=None):
     pairs = []
     for n in cfg["n"]:
         for p in cfg["p"]:
-            if not (2.0 < p < two_star(n)):
+            if n < 2 or not 2.0 < p < two_star(n):
                 ap.error(f"inadmissible pair (p, n) = ({p}, {n})")
             if n == 2 and p > N2_P_CAP:
                 ap.error(f"n = 2 sweeps are capped at p <= {N2_P_CAP}")

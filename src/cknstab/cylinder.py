@@ -104,18 +104,19 @@ class Grid:
             raise ValueError(f"grid spacing {self.h} exceeds {DEFAULT_H}")
 
 
-def default_grid(params, refine=1):
-    """Default grid for the given parameters.
-
-    Half-width is 30/sqrt(Lambda) or, if larger, the point where the ground
-    state has decayed below e^{-21} of its peak (the two differ when p is
-    close to 2, where the profile's cosh prefactor delays the decay).
-    ``refine=2`` doubles the resolution for convergence studies.
-    """
-    S = max(
+def decay_half_width(params):
+    """Grid half-width: 30/sqrt(Lambda) or, if larger, the point where the ground
+    state has decayed below e^{-21} of its peak (the larger one when p is close
+    to 2, where the profile's cosh prefactor delays the decay)."""
+    return max(
         30.0 / params.sqrt_lam,
         math.acosh(math.exp(10.5 * (params.p - 2.0))) / params.alpha,
     )
+
+
+def default_grid(params, refine=1):
+    """Grid of half-width :func:`decay_half_width` and spacing DEFAULT_H / refine."""
+    S = decay_half_width(params)
     h_target = DEFAULT_H / refine
     N = max(int(math.ceil(2.0 * S / h_target)) + 1, MIN_POINTS * refine + 1)
     if N % 2 == 0:
@@ -203,7 +204,11 @@ class SphereQuad:
 
 
 class Cylinder:
-    """Discretization context: parameters, grid, angular rule, and operators."""
+    """Discretization context: parameters, grid, angular rule, and operators.
+
+    Builds each derived part once: its -d^2 band ``neg_d2``, which every axial
+    solver reads, and the sector operators now; ``ground_state`` and the sharp
+    family's ``corrector`` on first use."""
 
     def __init__(self, params, grid=None, L=DEFAULT_L, M=DEFAULT_M, refine=1):
         self.params = params
@@ -211,9 +216,9 @@ class Cylinder:
         self.grid.validate_for(params)
         self.sphere = SphereQuad(params.n, M=M, L=L)
         self.L = self.sphere.L
-        self._neg_d2 = Band.neg_d2(self.grid.N, self.grid.h)
+        self.neg_d2 = Band.neg_d2(self.grid.N, self.grid.h)
         self.sector_ops = [
-            self._neg_d2.shifted(self.sphere.eigenvalue(l) + params.Lam)
+            self.neg_d2.shifted(self.sphere.eigenvalue(l) + params.Lam)
             for l in range(self.L + 1)
         ]
 
@@ -223,9 +228,14 @@ class Cylinder:
     def ground_state(self):
         """Discrete ground-state profile (Newton-polished bubble at t = 0)."""
         v0 = _params.bubble_profile(self.params, self.grid.s)
-        return newton_ground_state(
-            self.grid.s, self.grid.h, self.params.Lam, self.params.p, v0
-        )
+        return newton_ground_state(self.neg_d2, self.params.Lam, self.params.p, v0)
+
+    @cached_property
+    def corrector(self):
+        """The sharp family's second-order corrector; see ``stability.corrector``."""
+        from .stability import _corrector  # local import; stability depends on cylinder
+
+        return _corrector(self)
 
     def bubble(self, t=0.0):
         return _params.bubble_profile(self.params, self.grid.s, t)

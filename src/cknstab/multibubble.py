@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import Cylinder, Grid, sphere_area
+from .cylinder import Cylinder, Grid, decay_half_width, sphere_area
 from .operators import apply_H1, hminus1_norm
 from .params import bubble_profile, bubble_profile_ds
 
@@ -218,7 +218,7 @@ def bubble_sum_residual(config, h_target=0.01):
     p = par.p
     scale = 1.0 / par.sqrt_lam
     S = max(abs(config.centers[0]), abs(config.centers[-1])) + (MARGIN + 2.0) * scale
-    S = max(S, 30.0 * scale, math.acosh(math.exp(10.5 * (p - 2.0))) / par.alpha)
+    S = max(S, decay_half_width(par))
     N = int(math.ceil(2.0 * S / h_target)) + 1
     if N % 2 == 0:
         N += 1

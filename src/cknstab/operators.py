@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ._discrete import Band, fold, fold_weights, nonlinearity, unfold
+from ._discrete import fold, fold_weights, nonlinearity, unfold
 from .cylinder import ZonalField, duality_pairing, pointwise_map_with_tail
 
 __all__ = [
@@ -131,7 +131,7 @@ def bvp_solve(cyl, ell, mass_shift, rhs):
     if rhs.shape != (N,):
         raise ValueError("rhs must be an axial profile on the grid")
     weight = (params.p - 1.0) * cyl.ground_state ** (params.p - 2.0)
-    full = Band.neg_d2(N, h).shifted(mass_shift - weight)
+    full = cyl.neg_d2.shifted(mass_shift - weight)
 
     parity = _parity_of(rhs)
     if parity == "none":

@@ -54,7 +54,8 @@ def eigensolve_sector(cyl, ell, k=3):
     if k < 1 or k > 10:
         raise ValueError("eigenvalue count must satisfy 1 <= k <= 10")
     pairs = []
-    b_full = np.maximum(cyl.ground_state ** (cyl.params.p - 2.0), B_FLOOR)
+    weight = cyl.ground_state ** (cyl.params.p - 2.0)
+    b_full = np.maximum(weight, B_FLOOR)
     for parity in ("even", "odd"):
         A = cyl.sector_ops[ell].fold(parity)
         b = fold_weights(cyl.grid.N, parity) * fold(b_full, parity)
@@ -77,7 +78,6 @@ def eigensolve_sector(cyl, ell, k=3):
     pairs.sort(key=lambda t: t[0])
     pairs = pairs[:k]
 
-    weight = cyl.ground_state ** (cyl.params.p - 2.0)
     qw = cyl.grid.quad_w
     mid = (cyl.grid.N - 1) // 2
     profiles, gammas, residuals = [], [], []

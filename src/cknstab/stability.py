@@ -20,11 +20,10 @@ the smallest mu^3 signal in the study range.
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from ._discrete import Band, fold, fold_weights
+from ._discrete import fold, fold_weights
 from .cylinder import (
     Cylinder,
     ZonalField,
@@ -68,19 +67,13 @@ _GL24_WEIGHTS = 2.0 * _GL24_WEIGHTS
 
 
 def _as_cylinder(obj, refine=1):
+    """The cylinder itself, or a fresh one per call for ``CknParams``; pass a
+    ``Cylinder`` to let repeated calls reuse its ground state and corrector."""
     if isinstance(obj, Cylinder):
         return obj
     if isinstance(obj, CknParams):
-        return _cached_cylinder(obj, refine)
+        return Cylinder(obj, refine=refine)
     raise TypeError(f"expected CknParams or Cylinder, got {type(obj)!r}")
-
-
-CACHE_SIZE = 8  # cylinders, and correctors, kept alive for repeated calls
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _cached_cylinder(params, refine):
-    return Cylinder(params, refine=refine)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +326,7 @@ def compute_E0(obj, eps=0.0):
     # the forms int u'^2 (a Band), int u^2 and int V^{p-2} u^2 (diagonals)
     # folded onto the even half grid, h included
     h = cyl.grid.h
-    K = h * Band.neg_d2(cyl.grid.N, h).fold("even")
+    K = h * cyl.neg_d2.fold("even")
     mass = h * fold_weights(cyl.grid.N, "even")
     V = fold(cyl.ground_state, "even")
     Bv = mass * V ** (p - 2.0)
@@ -574,14 +567,11 @@ def corrector(obj):
     V^{2p-3}; eta2 and C0 are explicit in the ground state and two of its
     power integrals.  Everything is assembled from the discrete ground state,
     which makes the cancellation exact at the stencil level.  Computed once
-    per cylinder.
+    per cylinder and kept as ``Cylinder.corrector``.
     """
-    return _corrector(_as_cylinder(obj, refine=STUDY_REFINE))
+    return _as_cylinder(obj, refine=STUDY_REFINE).corrector
 
 
-# Same size as _cached_cylinder: for callers that pass CknParams, both caches
-# hold the same cylinders and this one keeps none alive longer.
-@lru_cache(maxsize=CACHE_SIZE)
 def _corrector(cyl):
     p, n, Lam = cyl.params.p, cyl.params.n, cyl.params.Lam
     V = cyl.ground_state

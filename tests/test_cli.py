@@ -12,6 +12,7 @@ from cknstab import spectrum as spec_mod
 
 
 def run_cli(args):
+    """Run the CLI in a fresh interpreter, for tests about the process itself."""
     proc = subprocess.run(
         [sys.executable, "-m", "cknstab.cli", *args],
         capture_output=True,
@@ -51,42 +52,55 @@ def test_range_syntax():
     assert vals == [2.5, 3.0, 3.5, 4.0]
 
 
-def test_inadmissible_pair_rejected():
-    proc = run_cli(["constants", "--n", "3", "--p", "6.5"])
-    assert proc.returncode != 0
-    assert "inadmissible" in proc.stderr
+@pytest.mark.parametrize("n, p", [(3, "6.5"), (1, "4"), (0, "4")])
+def test_inadmissible_pair_rejected(capsys, n, p):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", "--n", str(n), "--p", p])
+    assert exc.value.code == 2
+    assert "inadmissible" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("token", ["3:4:0", "4:3:0.5"])
-def test_bad_range_rejected(token):
-    proc = run_cli(["constants", "--n", "3", "--p", token])
-    assert proc.returncode != 0
-    assert "bad range" in proc.stderr
-    assert "Traceback" not in proc.stderr
+def test_bad_range_rejected(capsys, token):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", "--n", "3", "--p", token])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "bad range" in err
+    assert "Traceback" not in err
 
 
 def test_n2_sweep_cap():
-    proc = run_cli(["constants", "--n", "2", "--p", "13"])
-    assert proc.returncode != 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["constants", "--n", "2", "--p", "13"])
+    assert exc.value.code == 2
 
 
 def test_empty_pair_list_is_success(tmp_path):
     out = tmp_path / "t.csv"
-    proc = run_cli(["constants", "--n", "--p", "--out", str(out)])
-    assert proc.returncode == 0
+    assert cli.main(["constants", "--n", "--p", "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 1  # header only
     assert lines[0].startswith("n,p,E0")
 
 
-def test_failed_row_sets_exit_status(tmp_path):
+def test_failed_row_sets_exit_status(tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    assert cli.main(["constants", "--n", "3", "--p", "4", "--grid-N", "129",
+                     "--out", str(out)]) == 3
+    assert "1 of 1 rows carry an error" in capsys.readouterr().err
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 2 and "exceeds 0.05" in lines[1]
+
+
+def test_module_entry_point_exit_status(tmp_path):
+    """``python -m cknstab.cli`` passes a failed row's status 3 to the process."""
     out = tmp_path / "c.csv"
     proc = run_cli(["constants", "--n", "3", "--p", "4", "--grid-N", "129",
                     "--out", str(out)])
     assert proc.returncode == 3
-    assert "1 of 1 rows carry an error" in proc.stderr
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 2 and "exceeds 0.05" in lines[1]
+    assert proc.stderr == "cknstab: 1 of 1 rows carry an error\n"
+    assert "exceeds 0.05" in out.read_text()
 
 
 def test_spectrum_rows_and_determinism(tmp_path):
@@ -140,9 +154,8 @@ def test_spectrum_rejects_L0(tmp_path):
 
 def test_constants_json_meta(tmp_path):
     out = tmp_path / "c.json"
-    proc = run_cli(["constants", "--n", "3", "--p", "4", "--format", "json",
-                    "--out", str(out)])
-    assert proc.returncode == 0
+    assert cli.main(["constants", "--n", "3", "--p", "4", "--format", "json",
+                     "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["meta"]["command"] == "constants"
     row = doc["rows"][0]
@@ -154,15 +167,13 @@ def test_config_file_with_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("n = 3\np = 4.0\nformat = json\n# comment\n")
     out = tmp_path / "o.json"
-    proc = run_cli(["spectrum", "--config", str(cfgfile), "--out", str(out)])
-    assert proc.returncode == 0
+    assert cli.main(["spectrum", "--config", str(cfgfile), "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["meta"]["pairs"] == [[4.0, 3]]
     # explicit flag wins over the file value
     out2 = tmp_path / "o.csv"
-    proc = run_cli(["spectrum", "--config", str(cfgfile), "--format", "csv",
-                    "--out", str(out2)])
-    assert proc.returncode == 0
+    assert cli.main(["spectrum", "--config", str(cfgfile), "--format", "csv",
+                     "--out", str(out2)]) == 0
     assert out2.read_text().startswith("n,p,ell")
 
 
@@ -223,18 +234,17 @@ def test_failed_point_row(tmp_path, capsys, argv, clean_kinds, cells):
     assert failed == {"n": 3, "p": 4.0, **cells}
 
 
-def test_selftest_exits_clean():
-    proc = run_cli(["selftest", "--seed", "3"])
-    assert proc.returncode == 0
-    assert "FAIL" not in proc.stdout
-    assert proc.stdout.count("PASS") >= 10
+def test_selftest_exits_clean(capsys):
+    assert cli.main(["selftest", "--seed", "3"]) == 0
+    stdout = capsys.readouterr().out
+    assert "FAIL" not in stdout
+    assert stdout.count("PASS") >= 10
 
 
 def test_constants_column_tracks_critical_limit(tmp_path):
     out = tmp_path / "c.csv"
-    proc = run_cli(["constants", "--n", "3", "--p", "4.0", "5.8",
-                    "--out", str(out)])
-    assert proc.returncode == 0
+    assert cli.main(["constants", "--n", "3", "--p", "4.0", "5.8",
+                     "--out", str(out)]) == 0
     rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
     header = out.read_text().splitlines()[0].split(",")
     col = header.index("E0_over_F_plus_1")
@@ -282,9 +292,8 @@ def test_selftest_rejects_grid_flags(flags):
 
 def test_interactions_command(tmp_path):
     out = tmp_path / "i.csv"
-    proc = run_cli(["interactions", "--n", "3", "--p", "4", "--gaps", "5", "9",
-                    "--out", str(out)])
-    assert proc.returncode == 0
+    assert cli.main(["interactions", "--n", "3", "--p", "4", "--gaps", "5", "9",
+                     "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("n,p,kind,gap")
     assert sum("pair_min_exponent" in ln for ln in lines) == 2

@@ -120,8 +120,8 @@ def test_band_is_frozen():
 def test_newton_raises_when_not_converged(par34, cyl34):
     # two steps from 1.5 V0 leave a residual of about 0.2, far above the target
     with pytest.raises(ArithmeticError, match="Newton residual"):
-        newton_ground_state(cyl34.grid.s, cyl34.grid.h, par34.Lam, par34.p,
-                            1.5 * cyl34.bubble(), max_iter=2)
+        newton_ground_state(cyl34.neg_d2, par34.Lam, par34.p, 1.5 * cyl34.bubble(),
+                            max_iter=2)
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0, 3.5, 2.6])

@@ -161,7 +161,7 @@ def test_bvp_residual_enforced(par34, cyl34):
     g = ck.bvp_solve(cyl34, 2, 2.0 * 3 + par34.Lam,
                      cyl34.ground_state ** (2.0 * par34.p - 3.0))
     lhs = (
-        cyl34._neg_d2 @ g
+        cyl34.neg_d2 @ g
         + (2.0 * 3 + par34.Lam) * g
         - (par34.p - 1.0) * cyl34.ground_state ** (par34.p - 2.0) * g
     )

@@ -1,5 +1,7 @@
+import gc
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -410,7 +412,24 @@ def test_sharpness_input_validation(par34):
 
 
 def test_corrector_computed_once_per_cylinder(par34):
-    assert ck.corrector(par34) is ck.corrector(par34)
+    cyl = ck.Cylinder(par34, refine=stability.STUDY_REFINE)
+    assert ck.corrector(cyl) is ck.corrector(cyl)
+
+
+def test_corrector_does_not_keep_its_cylinder_alive(par34):
+    cyl = ck.Cylinder(par34, refine=stability.STUDY_REFINE)
+    ck.corrector(cyl)
+    ref = weakref.ref(cyl)
+    del cyl
+    gc.collect()
+    assert ref() is None
+
+
+def test_corrector_from_params_matches_study_cylinder(par34):
+    a = ck.corrector(par34)
+    b = ck.corrector(ck.Cylinder(par34, refine=stability.STUDY_REFINE))
+    assert np.array_equal(a.eta.profiles, b.eta.profiles)
+    assert a.C0 == b.C0
 
 
 def test_sharpness_study_converged_in_the_grid(par34):
