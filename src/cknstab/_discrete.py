@@ -133,7 +133,7 @@ def nonlinearity(z, p):
     return np.abs(z) ** (p - 2.0) * z
 
 
-def newton_ground_state(D2, lam, p, v_init, tol_factor=1e-13, max_iter=12):
+def newton_ground_state(D2, lam, p, v_init, max_iter=12):
     """Discrete positive ground state of -v'' + lam v = v^{p-1}, with -d^2 the band D2.
 
     Solves on the even half grid (the state is even, and the odd translation
@@ -141,8 +141,8 @@ def newton_ground_state(D2, lam, p, v_init, tol_factor=1e-13, max_iter=12):
     full-grid profile; the residual of the returned iterate is at roundoff
     level of the stencil, so downstream constructions built from it cancel to
     machine precision instead of to the sampling error of the continuum state.
-    Raises ``ArithmeticError`` when the residual still misses that level after
-    ``max_iter`` steps.
+    Raises ``ArithmeticError`` when the residual still misses that level
+    (1e-13 of the stencil's diagonal times the peak) after ``max_iter`` steps.
     """
     A = D2.fold("even")
     w = fold_weights(D2.n, "even")
@@ -152,12 +152,12 @@ def newton_ground_state(D2, lam, p, v_init, tol_factor=1e-13, max_iter=12):
         # w holds 1s and 2s, so scaling by it is exact and the grouping free
         F = A @ v + lam * (w * v) - w * nonlinearity(v, p)
         res = float(np.max(np.abs(F)))
-        if res < tol_factor * scale:
+        if res < 1e-13 * scale:
             return unfold(v, "even")
         if it == max_iter:
             raise ArithmeticError(
                 f"ground-state Newton residual {res:.2e} above "
-                f"{tol_factor * scale:.2e} after {max_iter} steps"
+                f"{1e-13 * scale:.2e} after {max_iter} steps"
             )
         J = A.shifted(lam * w - (p - 1.0) * w * np.abs(v) ** (p - 2.0))
         v = v - J.solve(F)

@@ -30,15 +30,17 @@ from . import multibubble as mb
 from . import spectrum as spec_mod
 from . import stability as stab
 from ._oracles import bubble_mass_exact, inequality_ratio, plane_bubble, sphere_moment_beta
-from .cylinder import Cylinder, Grid, sphere_area, sphere_moment
+from .cylinder import Cylinder, Grid, sphere_moment
 from .operators import apply_H1, hminus1_norm, riesz_solve
-from .params import bubble_profile, emden_fowler, felli_schneider_b, from_pn, two_star
+from .params import bubble_profile, emden_fowler, from_pn, two_star
 
 N2_P_CAP = 12.0  # sweep cap for n = 2, where 2* is unbounded
 
 
 def _parse_values(tokens):
-    """Expand 'a:b:step' range syntax; plain floats pass through."""
+    """Expand 'a:b:step' range syntax, rounding each value to 12 decimals so
+    that 2.2:2.8:0.2 gives 2.4, not 2.4000000000000004; plain floats pass
+    through."""
     out = []
     for tok in tokens:
         if ":" in str(tok):
@@ -46,7 +48,7 @@ def _parse_values(tokens):
             if step <= 0 or b < a:
                 raise ValueError(f"bad range {tok!r}: need a <= b and step > 0")
             k = int(math.floor((b - a) / step + 1e-9))
-            out.extend(a + i * step for i in range(k + 1))
+            out.extend(round(a + i * step, 12) for i in range(k + 1))
         else:
             out.append(float(tok))
     return out

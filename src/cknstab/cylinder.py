@@ -267,8 +267,9 @@ class Cylinder:
         prof = np.outer(coeffs, np.asarray(profile, dtype=float))
         return ZonalField(self, prof)
 
-    def bubble_field(self, t=0.0, discrete=False):
-        return self.from_radial(self.ground_state if discrete else self.bubble(t))
+    def bubble_field(self, t=0.0):
+        """V_t as a field; ``from_radial(ground_state)`` is the discrete V_0."""
+        return self.from_radial(self.bubble(t))
 
     def compatible(self, other):
         return (

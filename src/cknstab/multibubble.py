@@ -72,7 +72,8 @@ class BubbleConfig:
         )
 
 
-def _pair_axis(params, t1, t2, h=0.005):
+def _pair_axis(params, t1, t2):
+    """Axis of spacing at most 0.005 covering both centers and their margins."""
     scale = 1.0 / params.sqrt_lam
     if max(abs(t1), abs(t2)) > MAX_CENTER * scale:
         raise ValueError(
@@ -80,7 +81,7 @@ def _pair_axis(params, t1, t2, h=0.005):
         )
     lo = min(t1, t2) - MARGIN * scale
     hi = max(t1, t2) + MARGIN * scale
-    m = int(math.ceil((hi - lo) / h))
+    m = int(math.ceil((hi - lo) / 0.005))
     s = np.linspace(lo, hi, m + 1)
     return s, (hi - lo) / m
 
@@ -197,20 +198,18 @@ def _weighted_sup(vals, weight):
 
 @dataclass(frozen=True)
 class MultiBubbleDiagnostics:
-    config: BubbleConfig
     residual: float
     Q: float
     residual_over_Q: float
     nonlinear_gap_norm: float   # the W-weighted norm matched to the p branch
     norm_index: int             # 1 for 2 < p < 4, 2 for p >= 4
-    grid_signature: str
 
 
-def bubble_sum_residual(config, h_target=0.01):
+def bubble_sum_residual(config):
     """Dual-norm residual of sigma = sum_i V_{t_i} plus weighted-gap norms.
 
-    Builds a symmetric grid wide enough to cover every center with the usual
-    decay margin, evaluates the residual of the bubble sum, and measures
+    Builds a symmetric grid of spacing at most 0.01, wide enough to cover
+    every center with the usual decay margin, evaluates the residual of the bubble sum, and measures
     sigma^{p-1} - sum_i V_{t_i}^{p-1} in the weighted sup-norm matching the
     exponent branch (W1 for 2 < p < 4, W2 for p >= 4).
     """
@@ -219,7 +218,7 @@ def bubble_sum_residual(config, h_target=0.01):
     scale = 1.0 / par.sqrt_lam
     S = max(abs(config.centers[0]), abs(config.centers[-1])) + (MARGIN + 2.0) * scale
     S = max(S, decay_half_width(par))
-    N = int(math.ceil(2.0 * S / h_target)) + 1
+    N = int(math.ceil(2.0 * S / 0.01)) + 1
     if N % 2 == 0:
         N += 1
     cyl = Cylinder(par, grid=Grid(S=S, N=max(N, 4097)))
@@ -239,13 +238,10 @@ def bubble_sum_residual(config, h_target=0.01):
         ratio = res / config.Q
     else:
         norm_index, gap_norm, ratio = 0, 0.0, math.nan
-    sig = f"N={cyl.grid.N};S={cyl.grid.S:.6g};h={cyl.grid.h:.6g}"
     return MultiBubbleDiagnostics(
-        config=config,
         residual=res,
         Q=config.Q,
         residual_over_Q=ratio,
         nonlinear_gap_norm=gap_norm,
         norm_index=norm_index,
-        grid_signature=sig,
     )

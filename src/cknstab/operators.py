@@ -102,28 +102,29 @@ def hminus1_norm(f):
     return math.sqrt(max(duality_pairing(f, phi), 0.0))
 
 
-def _parity_of(prof, tol=1e-12):
+def _parity_of(prof):
     flipped = prof[::-1]
     scale = float(np.max(np.abs(prof)))
     if scale == 0.0:
         return "even"
-    if float(np.max(np.abs(prof - flipped))) <= tol * scale:
+    if float(np.max(np.abs(prof - flipped))) <= 1e-12 * scale:
         return "even"
-    if float(np.max(np.abs(prof + flipped))) <= tol * scale:
+    if float(np.max(np.abs(prof + flipped))) <= 1e-12 * scale:
         return "odd"
-    return "none"
+    raise ValueError("rhs must be even or odd about s = 0")
 
 
-def bvp_solve(cyl, ell, mass_shift, rhs):
-    """Decaying solution g of  -g'' + mass_shift g - (p-1) V0^{p-2} g = rhs.
+def bvp_solve(cyl, ell, rhs):
+    """Decaying g with -g'' + (ell(ell+n-2) + Lambda) g - (p-1) V0^{p-2} g = rhs.
 
-    The potential is built from the discrete ground state.  When the right
-    hand side has a definite parity the solve is restricted to that parity
-    class, which keeps the operator safely invertible even in the axial
-    sector, where the translation mode would otherwise sit near the kernel.
-    The guard is the relative residual of g in the full-grid operator: a
-    near-singular solve (an odd right-hand side in the axial sector, say)
-    fails it, and any residual above 1e-9 raises ``ArithmeticError``.
+    The potential is built from the discrete ground state.  The right-hand
+    side must be even or odd about s = 0 (``ValueError`` otherwise), and the
+    solve is restricted to that parity class, which keeps the operator safely
+    invertible even in the axial sector, where the translation mode would
+    otherwise sit near the kernel.  The guard is the relative residual of g
+    in the full-grid operator: a near-singular solve (an odd right-hand side
+    in the axial sector, say) fails it, and any residual above 1e-9 raises
+    ``ArithmeticError``.
     """
     params = cyl.params
     N, h = cyl.grid.N, cyl.grid.h
@@ -131,16 +132,11 @@ def bvp_solve(cyl, ell, mass_shift, rhs):
     if rhs.shape != (N,):
         raise ValueError("rhs must be an axial profile on the grid")
     weight = (params.p - 1.0) * cyl.ground_state ** (params.p - 2.0)
-    full = cyl.neg_d2.shifted(mass_shift - weight)
+    full = cyl.neg_d2.shifted(cyl.sphere.eigenvalue(ell) + params.Lam - weight)
 
     parity = _parity_of(rhs)
-    if parity == "none":
-        A, b = full, rhs
-    else:
-        A, b = full.fold(parity), fold_weights(N, parity) * fold(rhs, parity)
-
-    x = A.solve(b)
-    g = x if parity == "none" else unfold(x, parity)
+    x = full.fold(parity).solve(fold_weights(N, parity) * fold(rhs, parity))
+    g = unfold(x, parity)
 
     resid = full @ g - rhs
     rel = math.sqrt(h * float(resid @ resid)) / max(
@@ -153,18 +149,17 @@ def bvp_solve(cyl, ell, mass_shift, rhs):
     return g
 
 
-def fit_decay_rate(s, profile, upper=1e-3, lower=1e-8):
+def fit_decay_rate(s, profile):
     """Least-squares exponential decay rate of |profile| on its right tail.
 
-    Fits log|g| against s over the window where |g| lies between ``upper``
-    and ``lower`` times its peak, away from both the core and the truncation
-    floor.
+    Fits log|g| against s over the window where |g| lies between 1e-3 and
+    1e-8 times its peak, away from both the core and the truncation floor.
     """
     g = np.abs(np.asarray(profile, dtype=float))
     peak = float(np.max(g))
     i0 = int(np.argmax(g))
     mask = np.zeros_like(g, dtype=bool)
-    mask[i0:] = (g[i0:] < upper * peak) & (g[i0:] > lower * peak)
+    mask[i0:] = (g[i0:] < 1e-3 * peak) & (g[i0:] > 1e-8 * peak)
     if np.count_nonzero(mask) < 8:
         raise ValueError("tail window too short to fit a decay rate")
     slope = np.polyfit(s[mask], np.log(g[mask]), 1)[0]

@@ -25,6 +25,7 @@ from ._discrete import fold, fold_weights, unfold
 __all__ = ["SectorSpectrum", "eigensolve_sector", "gamma3", "sector_walk"]
 
 B_FLOOR = 1e-300  # keeps the pencil definite where the weight underflows
+GAP_MARGIN = 1e-6  # a gap candidate must exceed p - 1 by more than this
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def eigensolve_sector(cyl, ell, k=3):
     )
 
 
-def sector_walk(cyl, margin=1e-6):
+def sector_walk(cyl):
     """The gap gamma3 and the sector spectra solved to find it.
 
     Sectors ell = 0, 1, 2, ... are solved with k = 3, 2, 1 eigenvalues; the
@@ -110,7 +111,8 @@ def sector_walk(cyl, margin=1e-6):
     (A_0 + ell(ell+n-2) I, B), so by Courant-Fischer each of its eigenvalues
     is nondecreasing in ell.  The walk stops after the first sector whose
     smallest eigenvalue is already no lower than the best candidate: no later
-    sector can lower it.
+    sector can lower it.  Eigenvalues within GAP_MARGIN of p - 1 belong to
+    the level p - 1 itself and are not gap candidates.
     """
     p = cyl.params.p
     best = np.inf
@@ -122,16 +124,16 @@ def sector_walk(cyl, margin=1e-6):
         if spec.eigenvalues[0] >= best:
             break  # every eigenvalue of every later sector is at least this one
         for gamma in spec.eigenvalues:
-            if gamma > p - 1.0 + margin:
+            if gamma > p - 1.0 + GAP_MARGIN:
                 best = min(best, float(gamma))
     return best, spectra
 
 
-def gamma3(cyl, margin=1e-6):
-    """Smallest eigenvalue strictly above p - 1 across sectors ell <= L.
+def gamma3(cyl):
+    """Smallest eigenvalue above p - 1 + GAP_MARGIN across sectors ell <= L.
 
     The sectors are walked upward by :func:`sector_walk`, which stops at the
     first sector that cannot lower the gap: by Courant-Fischer the pencil
     (A_0 + ell(ell+n-2) I, B) has eigenvalues nondecreasing in ell.
     """
-    return sector_walk(cyl, margin)[0]
+    return sector_walk(cyl)[0]

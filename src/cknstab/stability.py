@@ -83,10 +83,11 @@ def _as_cylinder(obj, refine=1):
 
 @dataclass(frozen=True)
 class BubbleFit:
-    """Best translate (and optional amplitude) of the bubble family."""
+    """Best translate V_t of the bubble family: the center, the distance
+    ||v - V_t||, the coefficient along the degenerate direction and the
+    stationarity of the fit."""
 
     t_star: float
-    amplitude: float | None
     distance: float
     projY: float
     projY_norm: float
@@ -94,21 +95,21 @@ class BubbleFit:
     is_local_min: bool
 
 
-def nearest_bubble(v, fit_amplitude=False):
-    """Minimize ||v - V_t|| (or ||v - a V_t|| when requested) over the center.
+def nearest_bubble(v):
+    """Minimize ||v - V_t|| over the center t.
 
-    Both objectives are stationary exactly where <v, ds V_t> vanishes: without
-    the amplitude d/dt ||v - V_t||^2 = 2 <v, ds V_t> (||V_t||^2 is translation
-    invariant up to truncation), and with it the derivative carries the extra
-    factor <v, V_t> / ||V_t||^2.  So <v, ds V_t> is scanned at the lattice
-    shifts t = j h nearest to 129 equispaced points of |t| <= S/2 (32 h apart
-    when N = 8193).  A lattice shift slides the sampled bubble along the grid,
-    so each scan value pairs v with a window of one ds V profile sampled on
-    the grid lattice extended by the scan half-width (:func:`_dbubble_scan`).
-    Every sign change is polished to a root by Brent's method
-    (:func:`_brentq`) on the exact pairing, and the root with the smallest
-    objective is the center.  It must beat both ends of the scan, or the
-    field is too far from the bubble manifold.
+    The translates V_t are the positive solutions, so this is the distance
+    to the solution manifold.  The objective is stationary exactly where
+    <v, ds V_t> vanishes, since d/dt ||v - V_t||^2 = 2 <v, ds V_t> (||V_t||^2
+    is translation invariant up to truncation).  So <v, ds V_t> is scanned at
+    the lattice shifts t = j h nearest to 129 equispaced points of |t| <= S/2
+    (32 h apart when N = 8193).  A lattice shift slides the sampled bubble
+    along the grid, so each scan value pairs v with a window of one ds V
+    profile sampled on the grid lattice extended by the scan half-width
+    (:func:`_dbubble_scan`).  Every sign change is polished to a root by
+    Brent's method (:func:`_brentq`) on the exact pairing, and the root with
+    the smallest objective is the center.  It must beat both ends of the
+    scan, or the field is too far from the bubble manifold.
     """
     cyl = v.cyl
     vn = h1_norm(v)
@@ -135,12 +136,8 @@ def nearest_bubble(v, fit_amplitude=False):
 
     vn2 = vn * vn
 
-    if fit_amplitude:
-        def dist_sq(t):
-            return vn2 - inner_with_bubble(t) ** 2 / bubble_norm_sq(t)
-    else:
-        def dist_sq(t):
-            return vn2 - 2.0 * inner_with_bubble(t) + bubble_norm_sq(t)
+    def dist_sq(t):
+        return vn2 - 2.0 * inner_with_bubble(t) + bubble_norm_sq(t)
 
     # the root of <v, ds V_t> is resolvable far below the flat floor of the
     # objective itself, so the center is located on the derivative alone
@@ -164,15 +161,9 @@ def nearest_bubble(v, fit_amplitude=False):
             f"center fit did not reach stationarity: residual {stationarity:.2e}"
         )
 
-    amplitude = None
-    scale = 1.0
-    if fit_amplitude:
-        amplitude = inner_with_bubble(t_star) / bubble_norm_sq(t_star)
-        scale = amplitude
-
     # final distance from the difference field itself; the expanded quadratic
     # form loses half the digits to cancellation near the manifold
-    distance = _distance_to_bubble(v, t_star, scale)
+    distance = _distance_to_bubble(v, t_star)
 
     is_local_min = (
         dist_sq(t_star + h) >= d2_star - 1e-14 * vn2
@@ -183,7 +174,6 @@ def nearest_bubble(v, fit_amplitude=False):
     yfield = _y_mode_field(cyl, t_star)
     return BubbleFit(
         t_star=float(t_star),
-        amplitude=amplitude,
         distance=distance,
         projY=coeff,
         projY_norm=abs(coeff) * h1_norm(yfield),
@@ -446,8 +436,6 @@ def compute_R_gamma(params):
 
     Returns (R, series_terms, tail_bound).
     """
-    if isinstance(params, Cylinder):
-        params = params.params
     p, n, Lam = params.p, params.n, params.Lam
     ser = _ratio_series(p, n, Lam)
     c = (2.0 * p - 2.0) / (p - 2.0)
@@ -548,15 +536,12 @@ def stability_constants(obj):
 @dataclass(frozen=True)
 class Corrector:
     """Second-order corrector eta = eta1 (th_n^2 - 1/n) + eta2 and the mass
-    correction C0, with the defect of the corrector equation and the
-    orthogonality inner products recorded."""
+    correction C0, with the L2 defect of the corrector equation and the
+    normalized H^1 inner products of eta with V0, ds V0 and V0^{p/2} th_n."""
 
     eta: ZonalField
-    eta1: np.ndarray
-    eta2: np.ndarray
     C0: float
     identity_residual_l2: float
-    identity_residual_hm1: float
     orthogonality: tuple
 
 
@@ -578,9 +563,7 @@ def _corrector(cyl):
     Ip = cyl.quad_s(V**p)
     I2p2 = cyl.quad_s(V ** (2.0 * p - 2.0))
 
-    eta1 = bvp_solve(
-        cyl, 2, 2.0 * n + Lam, ((p - 1.0) * (p - 2.0) / 2.0) * V ** (2.0 * p - 3.0)
-    )
+    eta1 = bvp_solve(cyl, 2, ((p - 1.0) * (p - 2.0) / 2.0) * V ** (2.0 * p - 3.0))
     ratio = p * I2p2 / (4.0 * n * Ip)
     eta2 = (p / (4.0 * n)) * V ** (p - 1.0) - ratio * V
     C0 = (p * p / (4.0 * n)) * Lam - ratio
@@ -600,9 +583,8 @@ def _corrector(cyl):
         V ** (p - 1.0)
     ) - ((p - 1.0) * (p - 2.0) / 2.0) * cyl.from_theta_power(V ** (2.0 * p - 3.0), 2)
     res_l2 = math.sqrt(l2_norm_sq(res_field))
-    res_hm1 = hminus1_norm(res_field)
 
-    vfield = cyl.bubble_field(discrete=True)
+    vfield = cyl.from_radial(V)
     dvfield = cyl.from_radial(cyl.bubble_ds())
     yfield = cyl.from_theta_power(V ** (p / 2.0), 1)
     orth = (
@@ -613,11 +595,8 @@ def _corrector(cyl):
 
     return Corrector(
         eta=eta,
-        eta1=eta1,
-        eta2=eta2,
         C0=C0,
         identity_residual_l2=res_l2,
-        identity_residual_hm1=res_hm1,
         orthogonality=orth,
     )
 
@@ -635,7 +614,7 @@ def counterexample(obj, mu):
         )
     V = cyl.ground_state
     w = (
-        (1.0 - cor.C0 * mu * mu) * cyl.bubble_field(discrete=True)
+        (1.0 - cor.C0 * mu * mu) * cyl.from_radial(V)
         + mu * cyl.from_theta_power(V ** (cyl.params.p / 2.0), 1)
         + mu * mu * cor.eta
     )
@@ -646,9 +625,7 @@ def naive_family(obj, mu):
     """The undressed family V0 + mu V0^{p/2} theta_n (quadratic residual)."""
     cyl = _as_cylinder(obj, refine=STUDY_REFINE)
     V = cyl.ground_state
-    return cyl.bubble_field(discrete=True) + mu * cyl.from_theta_power(
-        V ** (cyl.params.p / 2.0), 1
-    )
+    return cyl.from_radial(V) + mu * cyl.from_theta_power(V ** (cyl.params.p / 2.0), 1)
 
 
 @dataclass(frozen=True)
@@ -674,11 +651,11 @@ class SharpnessReport:
 def sharpness_study(obj, mus):
     """Log-log slope study of the constructed and naive families.
 
-    Expects at least five mu values, log-spaced inside [1e-3, 3e-2].
+    Expects at least five distinct mu values, log-spaced inside [1e-3, 3e-2].
     """
     mus = np.sort(np.asarray(mus, dtype=float))
-    if len(mus) < 5:
-        raise ValueError("need at least 5 mu values")
+    if len(np.unique(mus)) < 5:
+        raise ValueError("need at least 5 distinct mu values")
     if mus[0] < 1e-3 * (1 - 1e-9) or mus[-1] > 3e-2 * (1 + 1e-9):
         raise ValueError("mu values must lie in [1e-3, 3e-2]")
     cyl = _as_cylinder(obj, refine=STUDY_REFINE)
@@ -710,9 +687,9 @@ def sharpness_study(obj, mus):
     )
 
 
-def _distance_to_bubble(field, t, scale=1.0):
-    """||field - scale V_t||, from the difference field itself."""
+def _distance_to_bubble(field, t):
+    """||field - V_t||, from the difference field itself."""
     cyl = field.cyl
     diff_prof = field.profiles.copy()
-    diff_prof[0] -= scale * math.sqrt(sphere_area(cyl.params.n)) * cyl.bubble(t)
+    diff_prof[0] -= math.sqrt(sphere_area(cyl.params.n)) * cyl.bubble(t)
     return h1_norm(ZonalField(cyl, diff_prof))

@@ -50,6 +50,8 @@ def test_parser_is_built_once_and_keeps_its_defaults(monkeypatch):
 def test_range_syntax():
     vals = cli._parse_values(["2.5:3.5:0.5", "4.0"])
     assert vals == [2.5, 3.0, 3.5, 4.0]
+    assert cli._parse_values(["2.2:2.8:0.2"]) == [2.2, 2.4, 2.6, 2.8]
+    assert cli._parse_values(["5.1:5.7:0.2"]) == [5.1, 5.3, 5.5, 5.7]
 
 
 @pytest.mark.parametrize("n, p", [(3, "6.5"), (1, "4"), (0, "4")])
@@ -218,7 +220,9 @@ INTERACTION_KINDS = ["pair_min_exponent", "pair_balanced", "derivative",
      {"ell": "", "index": "", "gamma": "", "residual": "", "grid_signature": ""}),
     (["sharpness", "--grid-N", "129"], [], {"kind": "error", "mu": ""}),
     (["interactions", "--gaps", "5", "600"], INTERACTION_KINDS, {"kind": "error", "gap": ""}),
-], ids=["constants", "spectrum", "sharpness", "interactions"])
+    (["sharpness", "--mu", "1e-3", "1e-3", "1e-3", "1e-3", "1e-3"], [],
+     {"kind": "error", "mu": ""}),
+], ids=["constants", "spectrum", "sharpness", "interactions", "repeated_mu"])
 def test_failed_point_row(tmp_path, capsys, argv, clean_kinds, cells):
     """A failing point keeps the rows it made, adds one error row, and exits 3."""
     out = tmp_path / "f.json"

@@ -128,24 +128,23 @@ def test_apply_H1_directional_derivative(par34, cyl34, eps_pair):
 def test_bvp_decay_rate(par34, cyl34):
     p, n, lam = par34.p, par34.n, par34.Lam
     rhs = cyl34.ground_state ** (2.0 * p - 3.0)
-    g = ck.bvp_solve(cyl34, 2, 2.0 * n + lam, rhs)
+    g = ck.bvp_solve(cyl34, 2, rhs)
     rate = ck.fit_decay_rate(cyl34.grid.s, g)
     expect = min(math.sqrt(2.0 * n + lam), (2.0 * p - 3.0) * math.sqrt(lam))
     assert rate == pytest.approx(expect, rel=0.02)
 
 
 def test_bvp_zero_rhs(cyl34):
-    g = ck.bvp_solve(cyl34, 2, 2.0 * 3 + cyl34.params.Lam, np.zeros(cyl34.grid.N))
+    g = ck.bvp_solve(cyl34, 2, np.zeros(cyl34.grid.N))
     assert np.all(g == 0.0)
 
 
 def test_bvp_linearity(par34, cyl34):
-    c = 2.0 * 3 + par34.Lam
     r1 = cyl34.ground_state ** (2.0 * par34.p - 3.0)
     r2 = 0.7 * cyl34.ground_state ** par34.p
-    g1 = ck.bvp_solve(cyl34, 2, c, r1)
-    g2 = ck.bvp_solve(cyl34, 2, c, r2)
-    g12 = ck.bvp_solve(cyl34, 2, c, r1 + r2)
+    g1 = ck.bvp_solve(cyl34, 2, r1)
+    g2 = ck.bvp_solve(cyl34, 2, r2)
+    g12 = ck.bvp_solve(cyl34, 2, r1 + r2)
     scale = np.max(np.abs(g12))
     assert np.max(np.abs(g12 - g1 - g2)) <= 1e-10 * scale
 
@@ -154,12 +153,18 @@ def test_bvp_rejects_near_singular_operator(par34, cyl34):
     # the translation mode makes the axial-sector operator singular on odd
     # profiles; the residual check of the solve must catch it
     with pytest.raises(ArithmeticError, match="axial solve residual"):
-        ck.bvp_solve(cyl34, 0, par34.Lam, cyl34.bubble_ds())
+        ck.bvp_solve(cyl34, 0, cyl34.bubble_ds())
+
+
+def test_bvp_rejects_rhs_without_parity(par34, cyl34):
+    # one grid point off center, the right-hand side is neither even nor odd
+    rhs = np.roll(cyl34.ground_state ** (2.0 * par34.p - 3.0), 1)
+    with pytest.raises(ValueError, match="even or odd"):
+        ck.bvp_solve(cyl34, 2, rhs)
 
 
 def test_bvp_residual_enforced(par34, cyl34):
-    g = ck.bvp_solve(cyl34, 2, 2.0 * 3 + par34.Lam,
-                     cyl34.ground_state ** (2.0 * par34.p - 3.0))
+    g = ck.bvp_solve(cyl34, 2, cyl34.ground_state ** (2.0 * par34.p - 3.0))
     lhs = (
         cyl34.neg_d2 @ g
         + (2.0 * 3 + par34.Lam) * g
