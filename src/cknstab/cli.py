@@ -143,12 +143,13 @@ def _make_cylinder(cfg, params, refine=1):
 
 
 def _refuse_grid_flags(cfg, why):
-    """Stop a command that builds its own grids when a grid flag is set."""
+    """Stop with a usage error (exit 2) when a command that builds its own
+    grids is given a grid flag."""
     defaults = {"grid_N": None, "grid_S": None,
                 "L": cyl_mod.DEFAULT_L, "M": cyl_mod.DEFAULT_M}
     if any(cfg[key] != val for key, val in defaults.items()):
-        raise SystemExit(f"{cfg['command']} {why}: "
-                         "--grid-N, --grid-S, --L and --M must keep their defaults")
+        build_parser().error(f"{cfg['command']} {why}: "
+                             "--grid-N, --grid-S, --L and --M must keep their defaults")
 
 
 def _fmt(v):

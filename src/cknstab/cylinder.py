@@ -376,15 +376,32 @@ def pointwise_map(f, fn):
     """Apply a scalar map pointwise and project back onto degrees l <= L.
 
     Exact (up to roundoff) whenever fn(f) is band-limited at degree L, e.g.
-    for polynomial maps of band-limited fields with L and M large enough.  Use
-    :func:`pointwise_map_with_tail` to also get the discarded-tail diagnostic.
+    for polynomial maps of band-limited fields with L and M large enough.  A
+    field with no angular dependence is mapped on its degree-0 profile alone;
+    any other field is synthesized on the full (N, M) tensor grid and all L + 1
+    degrees are projected.  Use :func:`pointwise_map_with_tail` to also get
+    the discarded-tail diagnostic.
     """
     out, _ = pointwise_map_with_tail(f, fn)
     return out
 
 
 def pointwise_map_with_tail(f, fn):
+    """:func:`pointwise_map` and the relative angular energy it discards.
+
+    ``tail`` is the share of ||fn(f)||^2, by the tensor quadrature, that the
+    projection onto degrees l <= L misses, clipped at 0 and 0.0 when fn(f)
+    vanishes.  When ``profiles[1:]`` are all exactly zero, f is constant on
+    each sphere, equal to Y_0 times its degree-0 profile, and so is fn(f): the
+    result is ``fn(Y_0 f_0) / Y_0`` in degree 0 and zero in every other
+    degree, and the tail is exactly 0.0, with no tensor grid built.
+    """
     cyl = f.cyl
+    if not np.any(f.profiles[1:]):
+        y0 = cyl.sphere.Y[0, 0]  # the constant, normalized degree-0 harmonic
+        proj = np.zeros_like(f.profiles)
+        proj[0] = fn(y0 * f.profiles[0]) / y0
+        return ZonalField(cyl, proj), 0.0
     vals = fn(f.synthesize())
     proj = (vals @ (cyl.sphere.w[:, None] * cyl.sphere.Y.T)).T
     # discarded angular tail, by Bessel against the discrete angular rule

@@ -46,12 +46,19 @@ class Residual(ZonalField):
 
 
 def apply_H1(v):
-    """Residual v_ss + Delta_theta v - Lambda v + |v|^{p-2} v of a field."""
+    """Residual v_ss + Delta_theta v - Lambda v + |v|^{p-2} v of a field.
+
+    The linear part runs the band matvec only in the sectors where v is not
+    identically zero, and the nonlinearity touches only degree 0 when v has no
+    angular dependence (see :func:`pointwise_map_with_tail`); then the result
+    is zero in every sector l > 0 and its ``tail_fraction`` is exactly 0.0.
+    """
     cyl = v.cyl
     p = cyl.params.p
-    out = np.empty_like(v.profiles)
+    out = np.zeros_like(v.profiles)
     for l in range(cyl.L + 1):
-        out[l] = -(cyl.sector_ops[l] @ v.profiles[l])
+        if np.any(v.profiles[l]):
+            out[l] = -(cyl.sector_ops[l] @ v.profiles[l])
     nonlin, tail = pointwise_map_with_tail(v, lambda z: nonlinearity(z, p))
     if tail > TAIL_BUDGET:
         log.warning("nonlinearity shed %.2e of its angular energy (budget %e)", tail, TAIL_BUDGET)
@@ -79,8 +86,10 @@ def riesz_solve(f):
     The sector operators are positive definite with spectrum inside
     [Lambda, 64/(12 h^2) + lam_L + Lambda], so an upper conditioning bound is
     available for free; it is reported if it ever reaches 1e12 (it sits near
-    1e5 on default grids).  Each sector's Cholesky factor is computed on the
-    first solve and reused for the life of the cylinder.
+    1e5 on default grids).  Only the sectors where f is not identically zero
+    are solved, so a field with no angular dependence touches sector 0 alone.
+    Each sector's Cholesky factor is computed on the first solve in that
+    sector and reused for the life of the cylinder.
     """
     cyl = f.cyl
     h = cyl.grid.h

@@ -283,15 +283,20 @@ GRID_FLAGS = [["--grid-N", "4097"], ["--grid-S", "30"], ["--L", "4"], ["--M", "3
 
 
 @pytest.mark.parametrize("flags", GRID_FLAGS)
-def test_interactions_rejects_grid_flags(flags):
-    with pytest.raises(SystemExit, match="must keep their defaults"):
+def test_interactions_rejects_grid_flags(flags, capsys):
+    # a usage error (exit 2), distinct from selftest's failed-check exit 1
+    with pytest.raises(SystemExit) as exc:
         cli.main(["interactions", "--n", "3", "--p", "4", *flags])
+    assert exc.value.code == 2
+    assert "must keep their defaults" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", GRID_FLAGS)
-def test_selftest_rejects_grid_flags(flags):
-    with pytest.raises(SystemExit, match="selftest runs on its own fixed grid"):
+def test_selftest_rejects_grid_flags(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
         cli.main(["selftest", *flags])
+    assert exc.value.code == 2
+    assert "selftest runs on its own fixed grid" in capsys.readouterr().err
 
 
 def test_interactions_command(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import cknstab as ck
 from cknstab.cylinder import duality_pairing, l2_norm_sq, pointwise_map_with_tail
+from cknstab._discrete import nonlinearity
 from cknstab._oracles import bubble_mass_exact, inequality_ratio, sphere_moment_beta
 
 
@@ -115,9 +116,22 @@ def test_pointwise_map_identity(cyl34):
 def test_pointwise_map_preserves_angular_constancy(par34, cyl34):
     f = cyl34.bubble_field()
     g = ck.pointwise_map(f, lambda z: np.abs(z) ** (par34.p - 2.0) * z)
-    assert np.max(np.abs(g.profiles[1:])) <= 1e-13 * np.max(np.abs(g.profiles[0]))
+    assert np.all(g.profiles[1:] == 0.0)
     expect = math.sqrt(ck.sphere_area(3)) * cyl34.bubble() ** (par34.p - 1.0)
     assert np.max(np.abs(g.profiles[0] - expect)) <= 1e-12 * np.max(expect)
+
+
+@pytest.mark.parametrize("p, n", [(4.0, 3), (3.0, 4), (2.6, 3), (4.0, 2)])
+def test_radial_pointwise_map_matches_tensor_path(p, n):
+    cyl = ck.Cylinder(ck.from_pn(p, n))
+    f = cyl.bubble_field()
+    g, tail = pointwise_map_with_tail(f, lambda z: nonlinearity(z, p))
+    # the tensor path: synthesize on the (N, M) grid, project onto Y with weights w
+    vals = nonlinearity(f.synthesize(), p)
+    proj = (vals @ (cyl.sphere.w[:, None] * cyl.sphere.Y.T)).T
+    assert np.max(np.abs(g.profiles[0] - proj[0])) <= 1e-14 * np.max(np.abs(proj[0]))
+    assert np.all(g.profiles[1:] == 0.0)
+    assert tail == 0.0
 
 
 def test_pointwise_map_square_of_first_mode(par34, cyl34):

@@ -37,6 +37,19 @@ def test_bubble_residual_stable_under_wider_truncation(par34, cyl34):
     assert abs(r_wide - r_base) <= 0.5 * r_base
 
 
+def test_apply_H1_of_radial_field_is_radial(cyl34):
+    out = ck.apply_H1(cyl34.bubble_field())
+    assert np.all(out.profiles[1:] == 0.0)
+    assert out.tail_fraction == 0.0
+
+
+def test_radial_residual_factors_sector_zero_only(par34):
+    cyl = ck.Cylinder(par34)
+    ck.hminus1_norm(ck.apply_H1(cyl.bubble_field()))
+    factored = ["_cholesky" in op.__dict__ for op in cyl.sector_ops]
+    assert factored == [True] + [False] * cyl.L
+
+
 def test_apply_H1_tail_diagnostic(cyl34):
     w = cyl34.bubble_field() + 0.02 * cyl34.from_theta_power(
         cyl34.bubble() ** (cyl34.params.p / 2.0), 1
