@@ -22,7 +22,8 @@ grid, and ``E^T E`` is the diagonal :func:`fold_weights`.
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import cholesky_banded, solve_banded
+from scipy.linalg.lapack import dpbtrs
 
 
 class Band:
@@ -55,8 +56,8 @@ class Band:
         return Band(c * self.ab)
 
     def __matmul__(self, x):
-        # row i adds its i-2, ..., i+2 terms to zero in that order, as a CSC
-        # sparse matvec does, so results match the sparse operator bit for bit
+        # row i adds its i-2, ..., i+2 terms to zero in that order; another
+        # order would move the last bits of every output built on it
         u2, u1, d = self.ab
         y = np.zeros_like(x, dtype=float)
         y[2:] += u2[2:] * x[:-2]
@@ -98,9 +99,20 @@ class Band:
     def cho_solve(self, b):
         """Solve A x = b for positive definite A through the stored factor.
 
-        Raises ``numpy.linalg.LinAlgError`` when A is not positive definite.
+        Raises ``numpy.linalg.LinAlgError`` when A is not positive definite,
+        and ``ValueError`` when b is not finite or has not one row per grid
+        point.  This is the LAPACK call that ``cho_solve_banded`` makes, with
+        the same checks, so the solution is the same bit for bit.
         """
-        return cho_solve_banded((self._cholesky, False), b)
+        b = np.asarray(b, dtype=float)
+        if b.shape[0] != self.n or not np.isfinite(b).all():
+            raise ValueError(
+                f"right-hand side of shape {b.shape} must be finite with {self.n} rows"
+            )
+        x, info = dpbtrs(self._cholesky, b)
+        if info != 0:
+            raise ValueError(f"dpbtrs rejected argument {-info}")
+        return x
 
 
 def fold(x, parity):

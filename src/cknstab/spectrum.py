@@ -5,20 +5,27 @@ at a time:
 
 The pencil (A, B) has A symmetric positive definite (pentadiagonal stencil
 plus positive mass) and B the diagonal bubble weight, which is strictly
-positive but exponentially small in the tails; the smallest eigenvalues are
-extracted by shift-invert Lanczos about gamma = 0, which never divides by the
-tiny tail weights.  Even and odd axial parities are solved separately and
-merged, so the translation mode and the ground state never mix numerically.
-Each folded pencil is factored once by banded Cholesky, and that factor is
-the shift-invert operator of every Lanczos step.
-The Lanczos start vector is fixed, so the eigenpairs are a deterministic
-function of the cylinder and reruns give bitwise-identical output.
+positive but exponentially small in the tails.  Even and odd axial parities
+are solved separately and merged, so the translation mode and the ground
+state never mix numerically.
+
+Each folded pencil A x = gamma diag(b) x is solved by spectral-transformation
+Lanczos (Ericsson & Ruhe 1980; Parlett, *The Symmetric Eigenvalue Problem*,
+ch. 13) on D A^{-1} D, D = diag(sqrt(b)), in the Euclidean inner product of
+u = D x: its largest eigenvalues are 1/gamma for the smallest gamma.  Each
+step makes one solve with the pencil's banded Cholesky factor and
+reorthogonalizes fully, twice.  The Krylov size is max(20, 4k), capped at the
+half-grid size (a fixed 20 misses k = 10 pairs near p = 2.2).  The Ritz
+vectors are combined from the solves A^{-1} D q_j, so the tiny tail weights
+are never divided by.  The start vector sqrt(b) is the constant vector in x,
+so reruns give bitwise-identical output.  A pair whose relative pencil
+residual exceeds RESIDUAL_BOUND, or a non-finite projected matrix, raises
+``ArithmeticError``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from ._discrete import fold, fold_weights, unfold
 
@@ -26,6 +33,7 @@ __all__ = ["SectorSpectrum", "eigensolve_sector", "gamma3", "sector_walk"]
 
 B_FLOOR = 1e-300  # keeps the pencil definite where the weight underflows
 GAP_MARGIN = 1e-6  # a gap candidate must exceed p - 1 by more than this
+RESIDUAL_BOUND = 1e-10  # largest relative pencil residual a returned pair may carry
 
 
 @dataclass(frozen=True)
@@ -37,12 +45,6 @@ class SectorSpectrum:
     eigenprofiles: np.ndarray  # shape (k, N)
     residuals: np.ndarray      # relative pencil residual per pair
 
-    def orthogonality_defect(self, cyl):
-        """Max off-diagonal of the B-weighted Gram matrix of the profiles."""
-        w = cyl.ground_state ** (cyl.params.p - 2.0) * cyl.grid.quad_w
-        G = (self.eigenprofiles * w) @ self.eigenprofiles.T
-        return float(np.max(np.abs(G - np.eye(len(self.eigenvalues)))))
-
 
 def eigensolve_sector(cyl, ell, k=3):
     """The k smallest eigenvalues of the sector-ell pencil with eigenprofiles.
@@ -50,56 +52,78 @@ def eigensolve_sector(cyl, ell, k=3):
     Profiles are normalized to int V0^{p-2} phi^2 = 1 and signed so that the
     first nonzero lobe from the left of center is positive.  Lanczos starts
     from the constant vector on each folded parity pencil, so the result is a
-    deterministic function of the cylinder.
+    deterministic function of the cylinder.  Raises ``ArithmeticError`` when
+    a pair misses RESIDUAL_BOUND.
     """
     if k < 1 or k > 10:
         raise ValueError("eigenvalue count must satisfy 1 <= k <= 10")
-    pairs = []
     weight = cyl.ground_state ** (cyl.params.p - 2.0)
-    b_full = np.maximum(weight, B_FLOOR)
-    for parity in ("even", "odd"):
-        A = cyl.sector_ops[ell].fold(parity)
-        b = fold_weights(cyl.grid.N, parity) * fold(b_full, parity)
-        shape = (A.n, A.n)
-        try:
-            # v0 rather than rng=: pyproject allows scipy>=1.10, which predates rng.
-            vals, vecs = eigsh(
-                LinearOperator(shape, matvec=A.__matmul__, dtype=float),
-                k=k, M=LinearOperator(shape, matvec=lambda x: b * x, dtype=float),
-                sigma=0.0, which="LM", v0=np.ones(A.n),
-                OPinv=LinearOperator(shape, matvec=A.cho_solve, dtype=float),
-            )
-        except ArpackNoConvergence as exc:
-            raise ArithmeticError(
-                f"eigensolver failed to converge in sector ell={ell} "
-                f"({parity} parity) at (p, n) = ({cyl.params.p}, {cyl.params.n})"
-            ) from exc
-        for gamma, x in zip(vals, vecs.T):
-            pairs.append((float(gamma), unfold(x, parity)))
-    pairs.sort(key=lambda t: t[0])
-    pairs = pairs[:k]
+    gammas, profiles, residuals = _pencil_eigenpairs(
+        cyl.sector_ops[ell], weight, cyl.grid.quad_w, k
+    )
+    return SectorSpectrum(
+        ell=ell, eigenvalues=gammas, eigenprofiles=profiles, residuals=residuals
+    )
 
-    qw = cyl.grid.quad_w
-    mid = (cyl.grid.N - 1) // 2
-    profiles, gammas, residuals = [], [], []
-    A_full = cyl.sector_ops[ell]
-    for gamma, phi in pairs:
-        nrm = np.sqrt(float(np.sum(qw * weight * phi * phi)))
-        phi = phi / nrm
+
+def _lanczos(A, b, k):
+    """The k smallest eigenpairs (gamma ascending, x as rows) of A x = gamma diag(b) x."""
+    m = min(max(20, 4 * k), A.n)
+    d = np.sqrt(b)
+    Q = np.empty((m, A.n))  # orthonormal Lanczos basis in u = d x
+    Z = np.empty((m, A.n))  # Z[j] = A^{-1} (d Q[j])
+    Q[0] = d / np.linalg.norm(d)
+    for j in range(m):
+        Z[j] = A.cho_solve(d * Q[j])
+        if j + 1 < m:
+            w = d * Z[j]
+            for _ in range(2):
+                w -= Q[: j + 1].T @ (Q[: j + 1] @ w)
+            Q[j + 1] = w / np.linalg.norm(w)
+    H = Q @ (d * Z).T
+    H = 0.5 * (H + H.T)
+    if not np.isfinite(H).all():
+        raise ArithmeticError("Lanczos projected matrix is not finite")
+    theta, Y = np.linalg.eigh(H)
+    theta, Y = theta[::-1][:k], Y[:, ::-1][:, :k]  # largest theta: smallest gamma
+    return 1.0 / theta, Y.T @ Z
+
+
+def _pencil_eigenpairs(A_full, weight, qw, k):
+    """The k smallest pairs of A_full phi = gamma weight phi on the full grid.
+
+    Returns the eigenvalues, the profiles normalized in the quadrature qw and
+    signed as in :func:`eigensolve_sector`, and their relative residuals.
+    """
+    N = A_full.n
+    b_full = np.maximum(weight, B_FLOOR)
+    pairs = []
+    for parity in ("even", "odd"):
+        b = fold_weights(N, parity) * fold(b_full, parity)
+        gammas, X = _lanczos(A_full.fold(parity), b, k)
+        pairs += [(float(g), unfold(x, parity)) for g, x in zip(gammas, X)]
+    pairs.sort(key=lambda t: t[0])
+
+    mid = (N - 1) // 2
+    gammas, profiles, residuals = [], [], []
+    for gamma, phi in pairs[:k]:
+        phi = phi / np.sqrt(float(np.sum(qw * weight * phi * phi)))
         lobe = phi[mid:][np.argmax(np.abs(phi[mid:]) > 1e-8 * np.max(np.abs(phi)))]
         if lobe < 0:
             phi = -phi
-        r = A_full @ phi - gamma * (weight * phi)
-        scale = np.linalg.norm(A_full @ phi) + abs(gamma) * np.linalg.norm(weight * phi)
-        residuals.append(float(np.linalg.norm(r) / scale))
-        profiles.append(phi)
+        Aphi = A_full @ phi
+        r = Aphi - gamma * (weight * phi)
+        scale = np.linalg.norm(Aphi) + abs(gamma) * np.linalg.norm(weight * phi)
+        res = float(np.linalg.norm(r) / scale)
+        if not res <= RESIDUAL_BOUND:
+            raise ArithmeticError(
+                f"eigenpair gamma = {gamma:.12g} has pencil residual {res:.2e}, "
+                f"above {RESIDUAL_BOUND:.0e}"
+            )
         gammas.append(gamma)
-    return SectorSpectrum(
-        ell=ell,
-        eigenvalues=np.asarray(gammas),
-        eigenprofiles=np.asarray(profiles),
-        residuals=np.asarray(residuals),
-    )
+        profiles.append(phi)
+        residuals.append(res)
+    return np.asarray(gammas), np.asarray(profiles), np.asarray(residuals)
 
 
 def sector_walk(cyl):

@@ -99,6 +99,17 @@ def test_lu_solves_indefinite_band():
         band.cho_solve(b)
 
 
+def test_cho_solve_rejects_bad_rhs():
+    band = Band.neg_d2(129, H).shifted(1.0)
+    for bad in (np.nan, np.inf):
+        b = np.ones(129)
+        b[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            band.cho_solve(b)
+    with pytest.raises(ValueError, match="129 rows"):
+        band.cho_solve(np.ones(130))
+
+
 @pytest.mark.parametrize("N", [129, 131])
 @pytest.mark.parametrize("parity", ["even", "odd"])
 def test_fold_unfold_roundtrip(N, parity):
