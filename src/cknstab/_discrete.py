@@ -145,7 +145,10 @@ def nonlinearity(z, p):
     return np.abs(z) ** (p - 2.0) * z
 
 
-def newton_ground_state(D2, lam, p, v_init, max_iter=12):
+NEWTON_STEPS = 12  # Newton steps before newton_ground_state gives up
+
+
+def newton_ground_state(D2, lam, p, v_init):
     """Discrete positive ground state of -v'' + lam v = v^{p-1}, with -d^2 the band D2.
 
     Solves on the even half grid (the state is even, and the odd translation
@@ -154,22 +157,22 @@ def newton_ground_state(D2, lam, p, v_init, max_iter=12):
     level of the stencil, so downstream constructions built from it cancel to
     machine precision instead of to the sampling error of the continuum state.
     Raises ``ArithmeticError`` when the residual still misses that level
-    (1e-13 of the stencil's diagonal times the peak) after ``max_iter`` steps.
+    (1e-13 of the stencil's diagonal times the peak) after ``NEWTON_STEPS`` steps.
     """
     A = D2.fold("even")
     w = fold_weights(D2.n, "even")
     v = fold(np.asarray(v_init, dtype=float), "even")
     scale = D2.ab[2, 0] * float(np.max(v))
-    for it in range(max_iter + 1):  # the last pass only checks the last step
+    for it in range(NEWTON_STEPS + 1):  # the last pass only checks the last step
         # w holds 1s and 2s, so scaling by it is exact and the grouping free
         F = A @ v + lam * (w * v) - w * nonlinearity(v, p)
         res = float(np.max(np.abs(F)))
         if res < 1e-13 * scale:
             return unfold(v, "even")
-        if it == max_iter:
+        if it == NEWTON_STEPS:
             raise ArithmeticError(
                 f"ground-state Newton residual {res:.2e} above "
-                f"{1e-13 * scale:.2e} after {max_iter} steps"
+                f"{1e-13 * scale:.2e} after {NEWTON_STEPS} steps"
             )
         J = A.shifted(lam * w - (p - 1.0) * w * np.abs(v) ** (p - 2.0))
         v = v - J.solve(F)

@@ -8,9 +8,11 @@ sharpness     log-log slope study of the degenerate family per (p, n)
 interactions  pairwise interaction windows and bubble-sum residuals
 selftest      quick battery over the package invariants (exit code reports)
 
-Output is CSV (default) or JSON; identical config and seed give identical
-bytes.  Each line ``key = value`` of a --config file reads as the flag
-``--key value`` placed before the command line, so explicit flags win.
+Each command takes only the flags it reads (see ``COMMAND_FLAGS``); any
+other flag is a usage error.  Output is CSV (default) or JSON; identical
+flags give identical bytes.  Each line ``key = value`` of a --config file
+reads as the flag ``--key value`` placed before the command line, so explicit
+flags win, and a key for a flag the command does not take is a usage error.
 A sweep keeps the rows of points that failed, with their ``error`` column
 filled, and then exits with status 3.
 """
@@ -54,32 +56,45 @@ def _parse_values(tokens):
     return out
 
 
+# one spec per flag: its option string and add_argument keywords; the tuple
+# defaults are shared by every parse, so no run can change what the next sees
+FLAGS = {
+    "--config": dict(help="flat key=value file; flags override"),
+    "--n": dict(nargs="*", type=int, default=(3,)),
+    "--p": dict(nargs="*", default=("4.0",), help="values or a:b:step ranges"),
+    "--grid-N": dict(dest="grid_N", type=int),
+    "--grid-S": dict(dest="grid_S", type=float),
+    "--L": dict(type=int, default=cyl_mod.DEFAULT_L),
+    "--M": dict(type=int, default=cyl_mod.DEFAULT_M),
+    "--mu": dict(nargs="*", type=float, default=tuple(np.geomspace(1e-3, 3e-2, 7))),
+    "--gaps": dict(nargs="*", type=float, default=tuple(np.linspace(4.0, 12.0, 9)),
+                   help="center gaps in units of 1/sqrt(Lambda)"),
+    "--out": dict(help="output path (default stdout)"),
+    "--format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
+    "--seed": dict(type=int, default=0),
+}
+_GRID = ("--n", "--p", "--grid-N", "--grid-S", "--L", "--M")
+_OUT = ("--out", "--format")
+# the flags each command reads, and no others
+COMMAND_FLAGS = {
+    "constants": ("--config", *_GRID, *_OUT),
+    "spectrum": ("--config", *_GRID, *_OUT),
+    "sharpness": ("--config", *_GRID, "--mu", *_OUT),
+    "interactions": ("--config", "--n", "--p", "--gaps", *_OUT),
+    "selftest": ("--config", "--seed", *_OUT),
+}
+
+
 @functools.cache
 def build_parser():
-    """The argument parser, built on first use and shared by every later call.
-
-    Shared defaults are tuples, so no run can change what the next one sees.
-    """
+    """The argument parser, built on first use and shared by every later call."""
     ap = argparse.ArgumentParser(prog="cknstab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
-    mus, gaps = tuple(np.geomspace(1e-3, 3e-2, 7)), tuple(np.linspace(4.0, 12.0, 9))
-    for name in ("constants", "spectrum", "sharpness", "interactions", "selftest"):
+    for name, flags in COMMAND_FLAGS.items():
         # no prefix matching, so a config key or flag must name a whole option
         sp = sub.add_parser(name, allow_abbrev=False)
-        sp.add_argument("--config", help="flat key=value file; flags override")
-        sp.add_argument("--n", nargs="*", type=int, default=(3,))
-        sp.add_argument("--p", nargs="*", default=("4.0",),
-                        help="values or a:b:step ranges")
-        sp.add_argument("--grid-N", dest="grid_N", type=int, default=None)
-        sp.add_argument("--grid-S", dest="grid_S", type=float, default=None)
-        sp.add_argument("--L", type=int, default=cyl_mod.DEFAULT_L)
-        sp.add_argument("--M", type=int, default=cyl_mod.DEFAULT_M)
-        sp.add_argument("--mu", nargs="*", type=float, default=mus)
-        sp.add_argument("--gaps", nargs="*", type=float, default=gaps,
-                        help="center gaps in units of 1/sqrt(Lambda)")
-        sp.add_argument("--out", default=None, help="output path (default stdout)")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        sp.add_argument("--seed", type=int, default=0)
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
     return ap
 
 
@@ -105,8 +120,8 @@ def resolve_config(argv=None):
     """Parse argv, with its --config file's flags ahead of it, and check the pairs.
 
     The file goes through the same parser as the command line, so an unknown
-    key or a bad value stops with a usage error, and an explicit flag, seen
-    after the file's, wins.
+    key, a key for a flag the command does not take, or a bad value stops with
+    a usage error, and an explicit flag, seen after the file's, wins.
     """
     ap = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -119,6 +134,8 @@ def resolve_config(argv=None):
         # argv[0] is the command: the top-level parser takes nothing else
         args = ap.parse_args([args.command, *flags, *argv[1:]])
     cfg = vars(args)
+    if "p" not in cfg:
+        return cfg
     try:
         cfg["p"] = _parse_values(cfg["p"])
     except ValueError as exc:
@@ -140,16 +157,6 @@ def _make_cylinder(cfg, params, refine=1):
     grid = Grid(S=base.S if cfg["grid_S"] is None else cfg["grid_S"],
                 N=base.N if cfg["grid_N"] is None else cfg["grid_N"])
     return Cylinder(params, grid=grid, L=cfg["L"], M=cfg["M"])
-
-
-def _refuse_grid_flags(cfg, why):
-    """Stop with a usage error (exit 2) when a command that builds its own
-    grids is given a grid flag."""
-    defaults = {"grid_N": None, "grid_S": None,
-                "L": cyl_mod.DEFAULT_L, "M": cyl_mod.DEFAULT_M}
-    if any(cfg[key] != val for key, val in defaults.items()):
-        build_parser().error(f"{cfg['command']} {why}: "
-                             "--grid-N, --grid-S, --L and --M must keep their defaults")
 
 
 def _fmt(v):
@@ -175,16 +182,14 @@ def emit(cfg, columns, rows, meta):
 
 
 def _meta(cfg):
+    """The version, the command, and the values of its pair, grid and seed flags."""
     from . import __version__
 
-    return {
-        "version": __version__,
-        "command": cfg["command"],
-        "pairs": [[p, n] for (p, n) in cfg["pairs"]],
-        "L": cfg["L"],
-        "M": cfg["M"],
-        "seed": cfg["seed"],
-    }
+    meta = {"version": __version__, "command": cfg["command"]}
+    if "pairs" in cfg:
+        meta["pairs"] = [[p, n] for (p, n) in cfg["pairs"]]
+    meta.update((key, cfg[key]) for key in ("L", "M", "seed") if key in cfg)
+    return meta
 
 
 def _sweep(cfg, columns, point_rows, **error_cells):
@@ -283,7 +288,6 @@ def cmd_sharpness(cfg):
 
 
 def cmd_interactions(cfg):
-    _refuse_grid_flags(cfg, "builds its own grid per gap")
     columns = ["n", "p", "kind", "gap", "value", "predicted", "ratio", "error"]
 
     def point_rows(p, n):
@@ -413,7 +417,6 @@ def _selftest_checks(cfg):
 
 
 def cmd_selftest(cfg):
-    _refuse_grid_flags(cfg, "runs on its own fixed grid")
     failures = 0
     rows = []
     for name, check in _selftest_checks(cfg):

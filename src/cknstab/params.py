@@ -117,24 +117,20 @@ def bubble_profile_ds(params, s, t=0.0):
     return -params.sqrt_lam * bubble_profile(params, s, t) * np.tanh(z)
 
 
-def emden_fowler(radii, samples, params, cyl=None):
+def emden_fowler(radii, samples, params, cyl):
     """Map a radial profile u(r) to the cylinder: v(s) = r^{(n-2-2a)/2} u(r).
 
     ``radii`` must be strictly positive; sampling should be (close to)
     uniform in s = -log r, since a cubic spline in s is used to move the data
-    onto the cylinder grid.  Returns an axisymmetric field living in the
+    onto the grid of ``cyl``.  Returns an axisymmetric field living in the
     lowest angular mode.
     """
-    from . import cylinder as _cyl  # local import; cylinder depends on params
-
     r = np.asarray(radii, dtype=float)
     u = np.asarray(samples, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("radii must be strictly positive")
     if not np.all(np.isfinite(u)):
         raise ValueError("radial samples must be finite")
-    if cyl is None:
-        cyl = _cyl.Cylinder(params)
     expo = (params.n - 2.0 - 2.0 * params.a) / 2.0
     s_data = -np.log(r)
     v_data = r**expo * u

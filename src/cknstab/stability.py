@@ -92,7 +92,6 @@ class BubbleFit:
     projY: float
     projY_norm: float
     stationarity: float
-    is_local_min: bool
 
 
 def nearest_bubble(v):
@@ -151,7 +150,7 @@ def nearest_bubble(v):
     if not fits or min(fits)[0] >= min(dist_sq(ts[0]), dist_sq(ts[-1])):
         raise ValueError("no interior distance minimum within |t| <= S/2: "
                          "field too far from the bubble manifold")
-    d2_star, t_star = min(fits)
+    t_star = min(fits)[1]
 
     g = inner_with_dbubble(t_star)
     dref = math.sqrt(bubble_norm_sq(0.0))  # same scale as ||ds V|| up to O(1)
@@ -165,11 +164,6 @@ def nearest_bubble(v):
     # form loses half the digits to cancellation near the manifold
     distance = _distance_to_bubble(v, t_star)
 
-    is_local_min = (
-        dist_sq(t_star + h) >= d2_star - 1e-14 * vn2
-        and dist_sq(t_star - h) >= d2_star - 1e-14 * vn2
-    )
-
     coeff, _ = project_Y(v, t_star)
     yfield = _y_mode_field(cyl, t_star)
     return BubbleFit(
@@ -178,7 +172,6 @@ def nearest_bubble(v):
         projY=coeff,
         projY_norm=abs(coeff) * h1_norm(yfield),
         stationarity=stationarity,
-        is_local_min=is_local_min,
     )
 
 
@@ -456,7 +449,7 @@ def compute_R_gamma(params):
     return prefactor * bracket, ser.terms, ser.tail_bound
 
 
-def compute_R_energy(obj, E0=None, F=None):
+def compute_R_energy(obj, E0, F):
     """Energy route 2 (E0 + F) ||V^{p/2} theta_n||_{H^1}^{-4}.
 
     The degenerate direction is taken with the raw theta_n angular factor
@@ -464,23 +457,14 @@ def compute_R_energy(obj, E0=None, F=None):
     moment), matching the convention of the linear term inside E0.
     """
     cyl = _as_cylinder(obj)
-    if E0 is None:
-        E0 = compute_E0(cyl)
-    if F is None:
-        F = compute_F(cyl)
     y = cyl.from_theta_power(cyl.ground_state ** (cyl.params.p / 2.0), 1)
     return 2.0 * (E0 + F) / h1_inner(y, y) ** 2
 
 
-def test_function_bound(obj, lam, E0=None, F=None):
+def test_function_bound(lam, E0, F):
     """(lam+2)^2/(4 lam) E0 + 2F; equals 2(E0 + F) at lam = 2."""
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    cyl = _as_cylinder(obj)
-    if E0 is None:
-        E0 = compute_E0(cyl)
-    if F is None:
-        F = compute_F(cyl)
     return (lam + 2.0) ** 2 / (4.0 * lam) * E0 + 2.0 * F
 
 

@@ -109,8 +109,7 @@ def test_module_entry_point_exit_status(tmp_path):
 def test_spectrum_rows_and_determinism(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
-        proc = run_cli(["spectrum", "--n", "3", "--p", "4", "--seed", "1",
-                        "--out", str(path)])
+        proc = run_cli(["spectrum", "--n", "3", "--p", "4", "--out", str(path)])
         assert proc.returncode == 0
     assert a.read_bytes() == b.read_bytes()
     rows = [ln.split(",") for ln in a.read_text().strip().splitlines()[1:]]
@@ -184,13 +183,14 @@ def test_config_file_with_override(tmp_path):
     ("grid_n = 129", "unrecognized arguments: --grid-n 129"),
     ("m = 32", "unrecognized arguments: --m 32"),
     ("format = xml", "argument --format: invalid choice: 'xml'"),
-    ("seed = abc", "argument --seed: invalid int value: 'abc'"),
+    ("L = abc", "argument --L: invalid int value: 'abc'"),
+    ("seed = 1", "unrecognized arguments: --seed 1"),
     ("p = abc", "argument --p: could not convert string to float: 'abc'"),
     ("grid_N 129", "bad config line: 'grid_N 129\\n'"),
     ("config = other.cfg", "config files do not nest"),
     ("p = 6.5", "inadmissible pair (p, n) = (6.5, 3)"),
-], ids=["unknown_key", "abbreviation", "bad_choice", "bad_int", "bad_p", "no_equals",
-        "nested", "inadmissible"])
+], ids=["unknown_key", "abbreviation", "bad_choice", "bad_int", "foreign_key", "bad_p",
+        "no_equals", "nested", "inadmissible"])
 def test_config_file_rejects_bad_input(tmp_path, capsys, line, message):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(f"n = 3\np = 4.0\n{line}\n")
@@ -280,24 +280,59 @@ def test_sharpness_uses_grid_flags(tmp_path, flags):
     assert doc["rows"][0]["error"].startswith("ValueError")
 
 
-GRID_FLAGS = [["--grid-N", "4097"], ["--grid-S", "30"], ["--L", "4"], ["--M", "32"]]
+# the flags each command takes, and a valid value for each
+COMMAND_FLAGS = {
+    "constants": {"--config", "--n", "--p", "--grid-N", "--grid-S", "--L", "--M",
+                  "--out", "--format"},
+    "spectrum": {"--config", "--n", "--p", "--grid-N", "--grid-S", "--L", "--M",
+                 "--out", "--format"},
+    "sharpness": {"--config", "--n", "--p", "--grid-N", "--grid-S", "--L", "--M",
+                  "--mu", "--out", "--format"},
+    "interactions": {"--config", "--n", "--p", "--gaps", "--out", "--format"},
+    "selftest": {"--config", "--seed", "--out", "--format"},
+}
+FLAG_VALUES = {"--config": "run.cfg", "--n": "3", "--p": "4", "--grid-N": "4097",
+               "--grid-S": "30", "--L": "4", "--M": "32", "--mu": "0.01", "--gaps": "5",
+               "--out": "o.csv", "--format": "json", "--seed": "1"}
+FOREIGN_FLAGS = [(cmd, flag) for cmd, own in COMMAND_FLAGS.items()
+                 for flag in FLAG_VALUES if flag not in own]
 
 
-@pytest.mark.parametrize("flags", GRID_FLAGS)
-def test_interactions_rejects_grid_flags(flags, capsys):
+@pytest.mark.parametrize("command, flag", FOREIGN_FLAGS)
+def test_command_rejects_flags_it_does_not_read(command, flag, capsys):
     # a usage error (exit 2), distinct from selftest's failed-check exit 1
     with pytest.raises(SystemExit) as exc:
-        cli.main(["interactions", "--n", "3", "--p", "4", *flags])
+        cli.main([command, flag, FLAG_VALUES[flag]])
     assert exc.value.code == 2
-    assert "must keep their defaults" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags", GRID_FLAGS)
-def test_selftest_rejects_grid_flags(flags, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["selftest", *flags])
-    assert exc.value.code == 2
-    assert "selftest runs on its own fixed grid" in capsys.readouterr().err
+@pytest.mark.parametrize("command", COMMAND_FLAGS)
+def test_command_takes_its_own_flags(command):
+    own = sorted(COMMAND_FLAGS[command] - {"--config"})
+    cfg = cli.resolve_config([command, *(tok for f in own for tok in (f, FLAG_VALUES[f]))])
+    dest = {"--grid-N": "grid_N", "--grid-S": "grid_S", "--format": "fmt"}
+    assert set(cfg) - {"command", "pairs"} == {dest.get(f, f[2:]) for f in COMMAND_FLAGS[command]}
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("constants", {"pairs", "L", "M"}),
+    ("spectrum", {"pairs", "L", "M"}),
+    ("sharpness", {"pairs", "L", "M"}),
+    ("interactions", {"pairs"}),
+    ("selftest", {"seed"}),
+])
+def test_json_meta_records_own_flags(tmp_path, monkeypatch, command, keys):
+    """``meta`` holds the version, the command and the values of its own flags."""
+    monkeypatch.setattr(cli, "_selftest_checks", lambda cfg: [])
+    out = tmp_path / "m.json"
+    pairs = ["--n", "--p"] if "pairs" in keys else []
+    assert cli.main([command, *pairs, "--format", "json", "--out", str(out)]) == 0
+    meta = json.loads(out.read_text())["meta"]
+    assert set(meta) == {"version", "command", *keys}
+    assert meta["command"] == command
+    flags = {"pairs": {"--n", "--p"}, "L": {"--L"}, "M": {"--M"}, "seed": {"--seed"}}
+    assert all(flags[key] <= COMMAND_FLAGS[command] for key in keys)
 
 
 def test_interactions_command(tmp_path):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cknstab import _discrete
 from cknstab._discrete import (
     Band, fold, fold_weights, newton_ground_state, nonlinearity, unfold,
 )
@@ -128,11 +129,11 @@ def test_band_is_frozen():
         band.ab[2, 0] = 0.0
 
 
-def test_newton_raises_when_not_converged(par34, cyl34):
+def test_newton_raises_when_not_converged(par34, cyl34, monkeypatch):
     # two steps from 1.5 V0 leave a residual of about 0.2, far above the target
+    monkeypatch.setattr(_discrete, "NEWTON_STEPS", 2)
     with pytest.raises(ArithmeticError, match="Newton residual"):
-        newton_ground_state(cyl34.neg_d2, par34.Lam, par34.p, 1.5 * cyl34.bubble(),
-                            max_iter=2)
+        newton_ground_state(cyl34.neg_d2, par34.Lam, par34.p, 1.5 * cyl34.bubble())
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0, 3.5, 2.6])

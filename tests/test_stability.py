@@ -16,11 +16,14 @@ from cknstab._oracles import bubble_mass_exact
 
 
 def test_nearest_bubble_on_manifold(cyl34):
-    fit = ck.nearest_bubble(cyl34.bubble_field(1.3))
+    v = cyl34.bubble_field(1.3)
+    fit = ck.nearest_bubble(v)
     assert fit.t_star == pytest.approx(1.3, abs=1e-6)
     assert fit.distance <= 1e-8
     assert fit.stationarity <= 1e-8
-    assert fit.is_local_min
+    # a local minimum: one grid step to either side is no closer
+    for t in (fit.t_star - cyl34.grid.h, fit.t_star + cyl34.grid.h):
+        assert stability._distance_to_bubble(v, t) >= fit.distance
 
 
 def test_nearest_bubble_orthogonal_perturbation(par34, cyl34):
@@ -261,7 +264,7 @@ def test_signs_at_reference_point(par34, cyl34):
 
 def test_R_routes_agree(par34, cyl34):
     Rg, terms, tail = ck.compute_R_gamma(par34)
-    Re = ck.compute_R_energy(cyl34)
+    Re = ck.compute_R_energy(cyl34, ck.compute_E0(cyl34), ck.compute_F(cyl34))
     assert abs(Rg - Re) / Rg <= 0.01
     assert tail <= 1e-9
     assert terms > 1000
@@ -346,7 +349,7 @@ def test_stability_constants_validation():
 def test_bound_at_lambda_two(par34, cyl34):
     E0 = ck.compute_E0(cyl34)
     F = ck.compute_F(cyl34)
-    got = ck.test_function_bound(cyl34, 2.0, E0=E0, F=F)
+    got = ck.test_function_bound(2.0, E0, F)
     assert got == pytest.approx(2.0 * (E0 + F), rel=1e-14)
 
 
@@ -362,13 +365,13 @@ def test_bound_sign_flip_near_critical():
     cyl = ck.Cylinder(par)
     E0 = ck.compute_E0(cyl)
     F = ck.compute_F(cyl)
-    assert ck.test_function_bound(cyl, 2.0, E0=E0, F=F) > 0
-    assert ck.test_function_bound(cyl, 1.0, E0=E0, F=F) < 0
+    assert ck.test_function_bound(2.0, E0, F) > 0
+    assert ck.test_function_bound(1.0, E0, F) < 0
 
 
-def test_bound_rejects_nonpositive_lambda(cyl34):
+def test_bound_rejects_nonpositive_lambda():
     with pytest.raises(ValueError):
-        ck.test_function_bound(cyl34, 0.0)
+        ck.test_function_bound(0.0, 1.0, 1.0)
 
 
 # --- the sharp family -------------------------------------------------------
