@@ -15,7 +15,6 @@ from .cylinder import (
     h1_norm,
     load_field,
     lp_norm,
-    pointwise_map,
     save_field,
     sphere_area,
     sphere_moment,
@@ -32,7 +31,6 @@ from .operators import (
     Residual,
     apply_H1,
     bvp_solve,
-    fit_decay_rate,
     hminus1_norm,
     linearized_apply,
     riesz_solve,
@@ -44,7 +42,6 @@ from .params import (
     emden_fowler,
     felli_schneider_b,
     from_pn,
-    inverse_emden_fowler,
     two_star,
 )
 from .spectrum import SectorSpectrum, eigensolve_sector, gamma3

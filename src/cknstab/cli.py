@@ -419,6 +419,7 @@ def _selftest_checks(cfg):
 def cmd_selftest(cfg):
     failures = 0
     rows = []
+    log = sys.stderr if cfg["out"] == "-" else sys.stdout  # keep a stdout report parseable
     for name, check in _selftest_checks(cfg):
         try:
             ok, detail = check()
@@ -427,7 +428,7 @@ def cmd_selftest(cfg):
         failures += not ok
         rows.append({"check": name, "status": "PASS" if ok else "FAIL",
                      "detail": detail})
-        print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})", file=log)
     if cfg["out"] is not None:
         emit(cfg, ["check", "status", "detail"], rows, _meta(cfg))
     return 1 if failures else 0

@@ -37,7 +37,6 @@ __all__ = [
     "h1_inner",
     "h1_norm",
     "lp_norm",
-    "pointwise_map",
     "save_field",
     "load_field",
 ]
@@ -96,11 +95,11 @@ class Grid:
         return w
 
     def validate_for(self, params):
-        if self.S * params.sqrt_lam < 20.0:
+        if not self.S * params.sqrt_lam >= 20.0:
             raise ValueError(
                 f"grid half-width {self.S} too small for Lambda={params.Lam}"
             )
-        if self.h > DEFAULT_H + 1e-12:
+        if not self.h <= DEFAULT_H + 1e-12:
             raise ValueError(f"grid spacing {self.h} exceeds {DEFAULT_H}")
 
 
@@ -152,9 +151,11 @@ class SphereQuad:
     Jacobi weight (1 - x^2)^{(n-3)/2} of the polar angle on S^{n-1}.
     Weights are scaled so that constants integrate to |S^{n-1}|; harmonics are
     generated by the Gegenbauer three-term recurrence (Chebyshev for n = 2)
-    and normalized against the quadrature itself.  The rule is exact for the
-    degree-2L products Y_l Y_m only when M >= L + 1, and the spectral gap
-    needs the sectors ell = 0 and 1, so L >= 1 and M >= L + 1 are required.
+    and normalized against the quadrature itself; each is positive at the
+    largest node, since the zeros of C_l interlace with those of C_M.  The
+    rule is exact for the degree-2L products Y_l Y_m only when M >= L + 1,
+    and the spectral gap needs the sectors ell = 0 and 1, so L >= 1 and
+    M >= L + 1 are required.
     """
 
     def __init__(self, n, M=DEFAULT_M, L=DEFAULT_L):
@@ -180,8 +181,6 @@ class SphereQuad:
                 Y[l + 1] = (2 * (l + lam) * x * Y[l] - (l + 2 * lam - 1) * Y[l - 1]) / (l + 1)
         for l in range(L + 1):
             Y[l] /= math.sqrt(float(np.sum(w * Y[l] ** 2)))
-            if Y[l][np.argmax(x)] < 0.0:
-                Y[l] = -Y[l]
         self.x = x
         self.w = w
         self.Y = Y
@@ -252,9 +251,6 @@ class Cylinder:
     def field(self, profiles):
         return ZonalField(self, np.asarray(profiles, dtype=float))
 
-    def zero_field(self):
-        return ZonalField(self, np.zeros((self.L + 1, self.grid.N)))
-
     def from_radial(self, profile):
         """Field f(s, theta) = profile(s), no angular dependence."""
         prof = np.zeros((self.L + 1, self.grid.N))
@@ -321,17 +317,6 @@ class ZonalField:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return ZonalField(self.cyl, -self.profiles)
-
-    def boundary_ratio(self):
-        """max boundary value over max value, per the truncation contract."""
-        peak = float(np.max(np.abs(self.profiles)))
-        if peak == 0.0:
-            return 0.0
-        edge = float(np.max(np.abs(self.profiles[:, [0, -1]])))
-        return edge / peak
-
 
 def _check_same(f, g):
     if f.cyl is not g.cyl and not f.cyl.compatible(g.cyl):
@@ -372,29 +357,19 @@ def lp_norm(f, q):
     return float(np.dot(f.cyl.grid.quad_w, inner)) ** (1.0 / q)
 
 
-def pointwise_map(f, fn):
+def pointwise_map_with_tail(f, fn):
     """Apply a scalar map pointwise and project back onto degrees l <= L.
 
-    Exact (up to roundoff) whenever fn(f) is band-limited at degree L, e.g.
-    for polynomial maps of band-limited fields with L and M large enough.  A
-    field with no angular dependence is mapped on its degree-0 profile alone;
-    any other field is synthesized on the full (N, M) tensor grid and all L + 1
-    degrees are projected.  Use :func:`pointwise_map_with_tail` to also get
-    the discarded-tail diagnostic.
-    """
-    out, _ = pointwise_map_with_tail(f, fn)
-    return out
-
-
-def pointwise_map_with_tail(f, fn):
-    """:func:`pointwise_map` and the relative angular energy it discards.
-
-    ``tail`` is the share of ||fn(f)||^2, by the tensor quadrature, that the
-    projection onto degrees l <= L misses, clipped at 0 and 0.0 when fn(f)
-    vanishes.  When ``profiles[1:]`` are all exactly zero, f is constant on
-    each sphere, equal to Y_0 times its degree-0 profile, and so is fn(f): the
-    result is ``fn(Y_0 f_0) / Y_0`` in degree 0 and zero in every other
-    degree, and the tail is exactly 0.0, with no tensor grid built.
+    Returns the projected field and ``tail``, the share of ||fn(f)||^2, by the
+    tensor quadrature, that the projection misses (clipped at 0; 0.0 when
+    fn(f) vanishes).  The projection is exact (up to roundoff) whenever fn(f)
+    is band-limited at degree L, e.g. for polynomial maps of band-limited
+    fields with L and M large enough.  When ``profiles[1:]`` are all exactly
+    zero, f is constant on each sphere, equal to Y_0 times its degree-0
+    profile, and so is fn(f): the result is ``fn(Y_0 f_0) / Y_0`` in degree 0
+    and zero in every other degree, and the tail is exactly 0.0, with no
+    tensor grid built.  Any other field is synthesized on the full (N, M)
+    tensor grid and all L + 1 degrees are projected.
     """
     cyl = f.cyl
     if not np.any(f.profiles[1:]):

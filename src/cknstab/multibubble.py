@@ -44,7 +44,7 @@ class BubbleConfig:
         c = tuple(float(t) for t in self.centers)
         if len(c) < 1:
             raise ValueError("need at least one center")
-        if any(b <= a for a, b in zip(c, c[1:])):
+        if not all(b > a for a, b in zip(c, c[1:])):
             raise ValueError("centers must be strictly increasing")
         if not 0.0 < self.zeta < 1.0:
             raise ValueError(f"zeta must lie in (0, 1), got {self.zeta}")

@@ -25,7 +25,6 @@ __all__ = [
     "riesz_solve",
     "hminus1_norm",
     "bvp_solve",
-    "fit_decay_rate",
 ]
 
 log = logging.getLogger(__name__)
@@ -157,19 +156,3 @@ def bvp_solve(cyl, ell, rhs):
         )
     return g
 
-
-def fit_decay_rate(s, profile):
-    """Least-squares exponential decay rate of |profile| on its right tail.
-
-    Fits log|g| against s over the window where |g| lies between 1e-3 and
-    1e-8 times its peak, away from both the core and the truncation floor.
-    """
-    g = np.abs(np.asarray(profile, dtype=float))
-    peak = float(np.max(g))
-    i0 = int(np.argmax(g))
-    mask = np.zeros_like(g, dtype=bool)
-    mask[i0:] = (g[i0:] < 1e-3 * peak) & (g[i0:] > 1e-8 * peak)
-    if np.count_nonzero(mask) < 8:
-        raise ValueError("tail window too short to fit a decay rate")
-    slope = np.polyfit(s[mask], np.log(g[mask]), 1)[0]
-    return -float(slope)

@@ -21,7 +21,6 @@ __all__ = [
     "bubble_profile",
     "bubble_profile_ds",
     "emden_fowler",
-    "inverse_emden_fowler",
 ]
 
 
@@ -143,17 +142,3 @@ def emden_fowler(radii, samples, params, cyl):
     prof = np.where(inside, spline(s), 0.0)
     return cyl.from_radial(prof)
 
-
-def inverse_emden_fowler(field, radii):
-    """Evaluate the radial profile u(r) of a lowest-mode field at given radii."""
-    from scipy.interpolate import CubicSpline
-
-    params = field.cyl.params
-    r = np.asarray(radii, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radii must be strictly positive")
-    expo = (params.n - 2.0 - 2.0 * params.a) / 2.0
-    prof = field.radial_profile()
-    spline = CubicSpline(field.cyl.grid.s, prof)
-    s = -np.log(r)
-    return spline(s) * r ** (-expo)

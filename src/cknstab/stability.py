@@ -640,7 +640,7 @@ def sharpness_study(obj, mus):
     mus = np.sort(np.asarray(mus, dtype=float))
     if len(np.unique(mus)) < 5:
         raise ValueError("need at least 5 distinct mu values")
-    if mus[0] < 1e-3 * (1 - 1e-9) or mus[-1] > 3e-2 * (1 + 1e-9):
+    if not (mus[0] >= 1e-3 * (1 - 1e-9) and mus[-1] <= 3e-2 * (1 + 1e-9)):
         raise ValueError("mu values must lie in [1e-3, 3e-2]")
     cyl = _as_cylinder(obj, refine=STUDY_REFINE)
     rows = []

@@ -246,6 +246,15 @@ def test_selftest_exits_clean(capsys):
     assert stdout.count("PASS") >= 10
 
 
+def test_selftest_report_on_stdout_is_parseable(capsys):
+    """With ``--out -`` the JSON report owns stdout; the check lines go to stderr."""
+    assert cli.main(["selftest", "--seed", "3", "--format", "json", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert {r["status"] for r in report["rows"]} == {"PASS"}
+    assert captured.err.count("PASS") == len(report["rows"])
+
+
 def test_constants_column_tracks_critical_limit(tmp_path):
     out = tmp_path / "c.csv"
     assert cli.main(["constants", "--n", "3", "--p", "4.0", "5.8",

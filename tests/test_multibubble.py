@@ -10,6 +10,8 @@ from cknstab._oracles import bubble_mass_exact
 def test_config_validation(par34):
     with pytest.raises(ValueError):
         ck.BubbleConfig(params=par34, centers=(1.0, 0.0))
+    with pytest.raises(ValueError, match="increasing"):
+        ck.BubbleConfig(params=par34, centers=(0.0, math.nan))
     with pytest.raises(ValueError):
         ck.BubbleConfig(params=par34, centers=(0.0, 1.0), zeta=0.0)
     cfg = ck.BubbleConfig(params=par34, centers=(-3.0, 0.0, 5.0))

@@ -391,7 +391,8 @@ def test_corrector_identity_and_orthogonality(par34):
     cor = ck.corrector(par34)
     assert cor.identity_residual_l2 <= 1e-7
     assert max(abs(o) for o in cor.orthogonality) <= 1e-8
-    assert cor.eta.boundary_ratio() <= 1e-6
+    prof = np.abs(cor.eta.profiles)
+    assert np.max(prof[:, [0, -1]]) / np.max(prof) <= 1e-6  # edge over peak
 
 
 def test_sharpness_input_validation(par34):
@@ -401,6 +402,8 @@ def test_sharpness_input_validation(par34):
         ck.sharpness_study(par34, [1e-4, 1e-3, 3e-3, 1e-2, 3e-2])  # out of range
     with pytest.raises(ValueError, match="distinct"):
         ck.sharpness_study(par34, [1e-3] * 5)  # repeated
+    with pytest.raises(ValueError, match="lie in"):
+        ck.sharpness_study(par34, [1e-3, 2e-3, 4e-3, 8e-3, math.nan])
 
 
 def test_corrector_computed_once_per_cylinder(par34):
