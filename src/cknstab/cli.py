@@ -47,8 +47,8 @@ def _parse_values(tokens):
     for tok in tokens:
         if ":" in str(tok):
             a, b, step = (float(x) for x in str(tok).split(":"))
-            if step <= 0 or b < a:
-                raise ValueError(f"bad range {tok!r}: need a <= b and step > 0")
+            if not (0 < step < math.inf and -math.inf < a <= b < math.inf):
+                raise ValueError(f"bad range {tok!r}: need finite a <= b and step > 0")
             k = int(math.floor((b - a) / step + 1e-9))
             out.extend(round(a + i * step, 12) for i in range(k + 1))
         else:
@@ -134,6 +134,8 @@ def resolve_config(argv=None):
         # argv[0] is the command: the top-level parser takes nothing else
         args = ap.parse_args([args.command, *flags, *argv[1:]])
     cfg = vars(args)
+    if cfg.get("seed", 0) < 0:
+        ap.error(f"argument --seed: must be non-negative, got {cfg['seed']}")
     if "p" not in cfg:
         return cfg
     try:
@@ -380,7 +382,7 @@ def _selftest_checks(cfg):
     def emden_fowler_roundtrip():
         s = np.arange(-cyl.grid.S, cyl.grid.S, 0.005)
         r = np.exp(-s)
-        fld = emden_fowler(r, plane_bubble(par, math.e, r), par, cyl)
+        fld = emden_fowler(r, plane_bubble(par, math.e, r), cyl)
         err = np.max(np.abs(fld.radial_profile() - bubble_profile(par, cyl.grid.s, 1.0)))
         return err <= 1e-10, f"max err {err:.2e}"
 

@@ -272,7 +272,6 @@ class Cylinder:
             self.params == other.params
             and self.grid == other.grid
             and self.L == other.L
-            and self.sphere.M == other.sphere.M
         )
 
 

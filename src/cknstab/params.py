@@ -116,13 +116,13 @@ def bubble_profile_ds(params, s, t=0.0):
     return -params.sqrt_lam * bubble_profile(params, s, t) * np.tanh(z)
 
 
-def emden_fowler(radii, samples, params, cyl):
+def emden_fowler(radii, samples, cyl):
     """Map a radial profile u(r) to the cylinder: v(s) = r^{(n-2-2a)/2} u(r).
 
     ``radii`` must be strictly positive; sampling should be (close to)
     uniform in s = -log r, since a cubic spline in s is used to move the data
-    onto the grid of ``cyl``.  Returns an axisymmetric field living in the
-    lowest angular mode.
+    onto the grid of ``cyl``, whose parameters give n and a.  Returns an
+    axisymmetric field living in the lowest angular mode.
     """
     r = np.asarray(radii, dtype=float)
     u = np.asarray(samples, dtype=float)
@@ -130,7 +130,7 @@ def emden_fowler(radii, samples, params, cyl):
         raise ValueError("radii must be strictly positive")
     if not np.all(np.isfinite(u)):
         raise ValueError("radial samples must be finite")
-    expo = (params.n - 2.0 - 2.0 * params.a) / 2.0
+    expo = (cyl.params.n - 2.0 - 2.0 * cyl.params.a) / 2.0
     s_data = -np.log(r)
     v_data = r**expo * u
     order = np.argsort(s_data)

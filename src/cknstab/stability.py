@@ -25,7 +25,6 @@ import numpy as np
 
 from ._discrete import fold, fold_weights
 from .cylinder import (
-    Cylinder,
     ZonalField,
     gauss_gegenbauer,
     h1_inner,
@@ -35,7 +34,7 @@ from .cylinder import (
     sphere_moment,
 )
 from .operators import apply_H1, bvp_solve, hminus1_norm
-from .params import CknParams, bubble_profile_ds
+from .params import bubble_profile_ds
 
 __all__ = [
     "BubbleFit",
@@ -64,16 +63,6 @@ SERIES_REL_TOL = 1e-10  # relative tail bound above which the R series warns
 # 24-point Gauss-Legendre rule on [-1, 1] (weights sum to 2) for the R series
 _GL24_NODES, _GL24_WEIGHTS = gauss_gegenbauer(24, 0.5)
 _GL24_WEIGHTS = 2.0 * _GL24_WEIGHTS
-
-
-def _as_cylinder(obj, refine=1):
-    """The cylinder itself, or a fresh one per call for ``CknParams``; pass a
-    ``Cylinder`` to let repeated calls reuse its ground state and corrector."""
-    if isinstance(obj, Cylinder):
-        return obj
-    if isinstance(obj, CknParams):
-        return Cylinder(obj, refine=refine)
-    raise TypeError(f"expected CknParams or Cylinder, got {type(obj)!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +259,7 @@ def project_Y(v, t=0.0):
 # ---------------------------------------------------------------------------
 
 
-def compute_F(obj):
+def compute_F(cyl):
     """Quartic coefficient
 
     F = (p-1)(p-2)/4 [ (p-1)/||V||_p^p (int V^{2p-2} th^2)^2
@@ -279,7 +268,6 @@ def compute_F(obj):
     with the axial factors by grid quadrature and the angular factors by the
     closed-form sphere moments.
     """
-    cyl = _as_cylinder(obj)
     p, n = cyl.params.p, cyl.params.n
     V = cyl.ground_state
     Ip = cyl.quad_s(V**p)
@@ -291,7 +279,7 @@ def compute_F(obj):
     return (p - 1) * (p - 2) / 4.0 * ((p - 1) / lpp * t2**2 - (p - 3) / 3.0 * t4)
 
 
-def compute_E0(obj, eps=0.0):
+def compute_E0(cyl, eps=0.0):
     """Constrained minimum of the degenerate quadratic form.
 
     Minimizes (1-eps)||g||_H1^2 - (p-1) int (V^{p-2} g^2 + (p-2) V^{2p-3}
@@ -304,7 +292,6 @@ def compute_E0(obj, eps=0.0):
     """
     if abs(eps) > 0.1:
         raise ValueError(f"|eps| <= 0.1 required, got {eps}")
-    cyl = _as_cylinder(obj)
     p, n, Lam = cyl.params.p, cyl.params.n, cyl.params.Lam
     # the forms int u'^2 (a Band), int u^2 and int V^{p-2} u^2 (diagonals)
     # folded onto the even half grid, h included
@@ -357,13 +344,6 @@ def compute_E0(obj, eps=0.0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeriesResult:
-    value: float
-    terms: int
-    tail_bound: float
-
-
 def _ratio_series(p, n, Lam):
     """sum_{k>=0} f(k), f(k) = (P(k - xi) - P(k)) / P(-1), as a fixed head plus
     an Euler-Maclaurin tail.
@@ -377,8 +357,9 @@ def _ratio_series(p, n, Lam):
     with the integral (which equals int_c^inf f) by 24-point Gauss-Legendre
     and the derivatives by central differences at c-3..c+3.  The value is cut
     at 2K, K = SERIES_HEAD; ``tail_bound`` is its relative change from the cut
-    at K, a truncation estimate that does not include roundoff.  A tail bound
-    above SERIES_REL_TOL logs a warning; the result is still returned.
+    at K, a truncation estimate that does not include roundoff.  Returns
+    (value, tail_bound).  A tail bound above SERIES_REL_TOL logs a warning;
+    the result is still returned.
     """
     xi1 = (2.0 * p - 3.0) / (p - 2.0)
     xi2 = math.sqrt(1.0 + 2.0 * n / Lam) / (p - 2.0)
@@ -421,7 +402,7 @@ def _ratio_series(p, n, Lam):
     if tail_bound > SERIES_REL_TOL:
         log.warning("ratio series tail bound %.2e at %d terms is above its "
                     "target %.0e", tail_bound, 2 * K, SERIES_REL_TOL)
-    return SeriesResult(value=value, terms=2 * K, tail_bound=tail_bound)
+    return value, tail_bound
 
 
 def compute_R_gamma(params):
@@ -430,7 +411,7 @@ def compute_R_gamma(params):
     Returns (R, series_terms, tail_bound).
     """
     p, n, Lam = params.p, params.n, params.Lam
-    ser = _ratio_series(p, n, Lam)
+    series, tail_bound = _ratio_series(p, n, Lam)
     c = (2.0 * p - 2.0) / (p - 2.0)
     prefactor = (
         params.alpha
@@ -444,19 +425,18 @@ def compute_R_gamma(params):
     bracket = (
         (3.0 * p - 4.0) / (4.0 * p - 4.0)
         - (p * n - 3.0 * n) / (p * n + 2.0 * p)
-        - (n - 1.0) / (n + 2.0) * ser.value
+        - (n - 1.0) / (n + 2.0) * series
     )
-    return prefactor * bracket, ser.terms, ser.tail_bound
+    return prefactor * bracket, 2 * SERIES_HEAD, tail_bound
 
 
-def compute_R_energy(obj, E0, F):
+def compute_R_energy(cyl, E0, F):
     """Energy route 2 (E0 + F) ||V^{p/2} theta_n||_{H^1}^{-4}.
 
     The degenerate direction is taken with the raw theta_n angular factor
     (converted from the stored normalized basis through the first sphere
     moment), matching the convention of the linear term inside E0.
     """
-    cyl = _as_cylinder(obj)
     y = cyl.from_theta_power(cyl.ground_state ** (cyl.params.p / 2.0), 1)
     return 2.0 * (E0 + F) / h1_inner(y, y) ** 2
 
@@ -491,8 +471,7 @@ class StabilityConstants:
             )
 
 
-def stability_constants(obj):
-    cyl = _as_cylinder(obj)
+def stability_constants(cyl):
     E0 = compute_E0(cyl)
     F = compute_F(cyl)
     Rg, terms, tail = compute_R_gamma(cyl.params)
@@ -529,7 +508,7 @@ class Corrector:
     orthogonality: tuple
 
 
-def corrector(obj):
+def corrector(cyl):
     """Build (eta, C0) so that the quadratic term of the family cancels.
 
     eta1 solves the shifted axial problem with mass 2n + Lambda driven by
@@ -538,7 +517,7 @@ def corrector(obj):
     which makes the cancellation exact at the stencil level.  Computed once
     per cylinder and kept as ``Cylinder.corrector``.
     """
-    return _as_cylinder(obj, refine=STUDY_REFINE).corrector
+    return cyl.corrector
 
 
 def _corrector(cyl):
@@ -585,11 +564,11 @@ def _corrector(cyl):
     )
 
 
-def counterexample(obj, mu):
-    """The family member w(mu); requires |mu| <= 0.05."""
+def counterexample(cyl, mu):
+    """The family member w(mu); requires |mu| <= 0.05 and a grid on which the
+    corrector meets its 1e-7 defect guard (``STUDY_REFINE`` or finer)."""
     if abs(mu) > 0.05:
         raise ValueError(f"|mu| <= 0.05 required, got {mu}")
-    cyl = _as_cylinder(obj, refine=STUDY_REFINE)
     cor = corrector(cyl)
     if cor.identity_residual_l2 > 1e-7:
         raise ArithmeticError(
@@ -605,9 +584,8 @@ def counterexample(obj, mu):
     return w
 
 
-def naive_family(obj, mu):
+def naive_family(cyl, mu):
     """The undressed family V0 + mu V0^{p/2} theta_n (quadratic residual)."""
-    cyl = _as_cylinder(obj, refine=STUDY_REFINE)
     V = cyl.ground_state
     return cyl.from_radial(V) + mu * cyl.from_theta_power(V ** (cyl.params.p / 2.0), 1)
 
@@ -632,17 +610,17 @@ class SharpnessReport:
         return np.abs(np.diff(r)) / r[:-1]
 
 
-def sharpness_study(obj, mus):
+def sharpness_study(cyl, mus):
     """Log-log slope study of the constructed and naive families.
 
-    Expects at least five distinct mu values, log-spaced inside [1e-3, 3e-2].
+    Expects at least five distinct mu values, log-spaced inside [1e-3, 3e-2],
+    and a cylinder at refine ``STUDY_REFINE`` or finer (see ``counterexample``).
     """
     mus = np.sort(np.asarray(mus, dtype=float))
     if len(np.unique(mus)) < 5:
         raise ValueError("need at least 5 distinct mu values")
     if not (mus[0] >= 1e-3 * (1 - 1e-9) and mus[-1] <= 3e-2 * (1 + 1e-9)):
         raise ValueError("mu values must lie in [1e-3, 3e-2]")
-    cyl = _as_cylinder(obj, refine=STUDY_REFINE)
     rows = []
     for mu in mus:
         w = counterexample(cyl, mu)

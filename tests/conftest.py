@@ -11,3 +11,9 @@ def par34():
 @pytest.fixture(scope="session")
 def cyl34(par34):
     return ck.Cylinder(par34)
+
+
+@pytest.fixture(scope="session")
+def study34(par34):
+    """The sharp family's grid at the reference point."""
+    return ck.Cylinder(par34, refine=ck.stability.STUDY_REFINE)

@@ -42,11 +42,17 @@ def report(idx, label, detail=""):
 
 
 @pytest.fixture(scope="module")
-def sharp_reports():
+def study_cylinders():
+    return {(n, p): ck.Cylinder(ck.from_pn(p, n), refine=ck.stability.STUDY_REFINE)
+            for n, p in REFERENCE_POINTS}
+
+
+@pytest.fixture(scope="module")
+def sharp_reports(study_cylinders):
     out = {}
     mus = np.geomspace(1e-3, 3e-2, 7)
     for n, p in REFERENCE_POINTS:
-        out[(n, p)] = ck.sharpness_study(ck.from_pn(p, n), mus)
+        out[(n, p)] = ck.sharpness_study(study_cylinders[(n, p)], mus)
     return out
 
 
@@ -54,7 +60,7 @@ def sharp_reports():
 def reference_constants():
     out = {}
     for n, p in REFERENCE_POINTS:
-        out[(n, p)] = ck.stability_constants(ck.from_pn(p, n))
+        out[(n, p)] = ck.stability_constants(ck.Cylinder(ck.from_pn(p, n)))
     return out
 
 
@@ -176,10 +182,10 @@ def test_08_scaling_triple(sharp_reports):
                      f"{r.residual_slope:.3f})" for (n, p), r in sharp_reports.items()))
 
 
-def test_09_corrector_identity():
+def test_09_corrector_identity(study_cylinders):
     worst_res, worst_orth = 0.0, 0.0
     for n, p in REFERENCE_POINTS:
-        cor = ck.corrector(ck.from_pn(p, n))
+        cor = ck.corrector(study_cylinders[(n, p)])
         worst_res = max(worst_res, cor.identity_residual_l2)
         worst_orth = max(worst_orth, max(abs(o) for o in cor.orthogonality))
         assert cor.identity_residual_l2 <= 1e-7, (n, p)
@@ -206,7 +212,7 @@ def test_10_infrastructure_oracles():
     s = np.arange(-cyl.grid.S, cyl.grid.S + step, step)
     r = np.exp(-s)
     for lam in (1.0, math.e):
-        fld = ck.emden_fowler(r, plane_bubble(par, lam, r), par, cyl)
+        fld = ck.emden_fowler(r, plane_bubble(par, lam, r), cyl)
         expect = ck.bubble_profile(par, cyl.grid.s, math.log(lam))
         assert np.max(np.abs(fld.radial_profile() - expect)) <= 1e-10
 

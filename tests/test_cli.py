@@ -63,7 +63,7 @@ def test_inadmissible_pair_rejected(capsys, n, p):
     assert "inadmissible" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("token", ["3:4:0", "4:3:0.5"])
+@pytest.mark.parametrize("token", ["3:4:0", "4:3:0.5", "2.2:inf:0.1", "2.2:2.8:nan"])
 def test_bad_range_rejected(capsys, token):
     with pytest.raises(SystemExit) as exc:
         cli.main(["constants", "--n", "3", "--p", token])
@@ -244,6 +244,15 @@ def test_selftest_exits_clean(capsys):
     stdout = capsys.readouterr().out
     assert "FAIL" not in stdout
     assert stdout.count("PASS") >= 10
+
+
+def test_selftest_negative_seed_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["selftest", "--seed", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err
+    assert "Traceback" not in err
 
 
 def test_selftest_report_on_stdout_is_parseable(capsys):

@@ -230,6 +230,11 @@ def test_field_serialization_roundtrip(tmp_path, cyl34):
     # a distinct but compatible cylinder: fields from both combine
     assert g.cyl is not cyl34
     assert ck.h1_inner(g, f) == ck.h1_inner(f, f)
+    # the header does not record M, which h1_inner and +/- never read
+    cyl32 = ck.Cylinder(cyl34.params, M=32)
+    f32 = cyl32.field(f.profiles)
+    ck.save_field(f32, path)
+    assert ck.h1_inner(ck.load_field(path), f32) == ck.h1_inner(f32, f32)
 
 
 def test_duality_pairing_matches_quadrature(cyl34):

@@ -85,7 +85,7 @@ def _radial_samples(par, cyl, lam, step=0.005):
 
 def test_emden_fowler_unit_scale(par34, cyl34):
     r, u = _radial_samples(par34, cyl34, 1.0)
-    fld = ck.emden_fowler(r, u, par34, cyl34)
+    fld = ck.emden_fowler(r, u, cyl34)
     expect = ck.bubble_profile(par34, cyl34.grid.s, 0.0)
     assert np.max(np.abs(fld.radial_profile() - expect)) <= 1e-10
 
@@ -93,25 +93,25 @@ def test_emden_fowler_unit_scale(par34, cyl34):
 def test_emden_fowler_scale_translates(par34, cyl34):
     lam = math.e
     r, u = _radial_samples(par34, cyl34, lam)
-    fld = ck.emden_fowler(r, u, par34, cyl34)
+    fld = ck.emden_fowler(r, u, cyl34)
     expect = ck.bubble_profile(par34, cyl34.grid.s, 1.0)
     assert np.max(np.abs(fld.radial_profile() - expect)) <= 1e-10
 
 
-def test_emden_fowler_zero_profile(par34, cyl34):
+def test_emden_fowler_zero_profile(cyl34):
     r = np.exp(-cyl34.grid.s)
-    fld = ck.emden_fowler(r, np.zeros_like(r), par34, cyl34)
+    fld = ck.emden_fowler(r, np.zeros_like(r), cyl34)
     assert np.all(fld.profiles == 0.0)
 
 
-def test_emden_fowler_rejects_bad_radii(par34, cyl34):
+def test_emden_fowler_rejects_bad_radii(cyl34):
     with pytest.raises(ValueError):
-        ck.emden_fowler(np.array([1.0, 0.0]), np.array([1.0, 1.0]), par34, cyl34)
+        ck.emden_fowler(np.array([1.0, 0.0]), np.array([1.0, 1.0]), cyl34)
 
 
 def test_emden_fowler_inverse_roundtrip(par34, cyl34):
     r, u = _radial_samples(par34, cyl34, 1.0)
-    fld = ck.emden_fowler(r, u, par34, cyl34)
+    fld = ck.emden_fowler(r, u, cyl34)
     mid = (len(r) - 1) // 2
     window = slice(mid - 2000, mid + 2000)
     # the inverse, u(r) = r^{-(n-2-2a)/2} v(-log r), re-interpolates the

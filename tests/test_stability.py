@@ -194,15 +194,15 @@ def quartic_coeff_oracle(par):
     )
 
 
-def test_F_vs_gamma_oracle(par34):
+def test_F_vs_gamma_oracle(par34, cyl34):
     # the computed value uses the discrete ground state, which sits O(h^4)
     # from the sampled profile the closed form integrates
-    assert ck.compute_F(par34) == pytest.approx(quartic_coeff_oracle(par34), rel=2e-8)
+    assert ck.compute_F(cyl34) == pytest.approx(quartic_coeff_oracle(par34), rel=2e-8)
 
 
 def test_F_p3_second_term_vanishes():
     par = ck.from_pn(3.0, 3)
-    got = ck.compute_F(par)
+    got = ck.compute_F(ck.Cylinder(par))
     p, n = 3.0, 3
     I2 = bubble_mass_exact(par, 2 * p - 2)
     Ip = bubble_mass_exact(par, p)
@@ -286,15 +286,15 @@ def test_R_series_legendre_rule_matches_roots_legendre():
 
 
 def test_R_series_decay_exponent(par34):
-    res = _ratio_series(par34.p, par34.n, par34.Lam)
-    assert res.tail_bound <= 1e-9
+    _, tail_bound = _ratio_series(par34.p, par34.n, par34.Lam)
+    assert tail_bound <= 1e-9
 
 
 def test_R_series_warns_on_unmet_target(par34, caplog, monkeypatch):
     monkeypatch.setattr(stability, "SERIES_HEAD", 8)
     with caplog.at_level(logging.WARNING, logger="cknstab.stability"):
-        res = _ratio_series(par34.p, par34.n, par34.Lam)
-    assert res.tail_bound > 1e-10
+        _, tail_bound = _ratio_series(par34.p, par34.n, par34.Lam)
+    assert tail_bound > 1e-10
     assert len(caplog.records) == 1
     caplog.clear()
     monkeypatch.undo()
@@ -313,8 +313,8 @@ def test_R_series_warns_on_unmet_target(par34, caplog, monkeypatch):
 ])
 def test_R_series_matches_hypergeometric_oracle(n, p, oracle):
     par = ck.from_pn(p, n)
-    res = _ratio_series(par.p, par.n, par.Lam)
-    assert abs(res.value - oracle) <= 1e-12 * oracle
+    value, _ = _ratio_series(par.p, par.n, par.Lam)
+    assert abs(value - oracle) <= 1e-12 * oracle
 
 
 def test_R_series_rejects_gamma_pole():
@@ -377,33 +377,33 @@ def test_bound_rejects_nonpositive_lambda():
 # --- the sharp family -------------------------------------------------------
 
 
-def test_counterexample_at_zero_is_bubble(par34):
-    w = ck.counterexample(par34, 0.0)
+def test_counterexample_at_zero_is_bubble(study34):
+    w = ck.counterexample(study34, 0.0)
     assert np.array_equal(w.profiles, w.cyl.from_radial(w.cyl.ground_state).profiles)
 
 
-def test_counterexample_mu_guard(par34):
+def test_counterexample_mu_guard(study34):
     with pytest.raises(ValueError):
-        ck.counterexample(par34, 0.06)
+        ck.counterexample(study34, 0.06)
 
 
-def test_corrector_identity_and_orthogonality(par34):
-    cor = ck.corrector(par34)
+def test_corrector_identity_and_orthogonality(study34):
+    cor = ck.corrector(study34)
     assert cor.identity_residual_l2 <= 1e-7
     assert max(abs(o) for o in cor.orthogonality) <= 1e-8
     prof = np.abs(cor.eta.profiles)
     assert np.max(prof[:, [0, -1]]) / np.max(prof) <= 1e-6  # edge over peak
 
 
-def test_sharpness_input_validation(par34):
+def test_sharpness_input_validation(study34):
     with pytest.raises(ValueError):
-        ck.sharpness_study(par34, [1e-3, 2e-3, 4e-3])  # too few
+        ck.sharpness_study(study34, [1e-3, 2e-3, 4e-3])  # too few
     with pytest.raises(ValueError):
-        ck.sharpness_study(par34, [1e-4, 1e-3, 3e-3, 1e-2, 3e-2])  # out of range
+        ck.sharpness_study(study34, [1e-4, 1e-3, 3e-3, 1e-2, 3e-2])  # out of range
     with pytest.raises(ValueError, match="distinct"):
-        ck.sharpness_study(par34, [1e-3] * 5)  # repeated
+        ck.sharpness_study(study34, [1e-3] * 5)  # repeated
     with pytest.raises(ValueError, match="lie in"):
-        ck.sharpness_study(par34, [1e-3, 2e-3, 4e-3, 8e-3, math.nan])
+        ck.sharpness_study(study34, [1e-3, 2e-3, 4e-3, 8e-3, math.nan])
 
 
 def test_corrector_computed_once_per_cylinder(par34):
@@ -420,17 +420,10 @@ def test_corrector_does_not_keep_its_cylinder_alive(par34):
     assert ref() is None
 
 
-def test_corrector_from_params_matches_study_cylinder(par34):
-    a = ck.corrector(par34)
-    b = ck.corrector(ck.Cylinder(par34, refine=stability.STUDY_REFINE))
-    assert np.array_equal(a.eta.profiles, b.eta.profiles)
-    assert a.C0 == b.C0
-
-
-def test_sharpness_study_converged_in_the_grid(par34):
+def test_sharpness_study_converged_in_the_grid(par34, study34):
     """Doubling STUDY_REFINE moves the study by far less than its gates allow."""
     mus = np.geomspace(1e-3, 3e-2, 7)
-    coarse = ck.sharpness_study(par34, mus)
+    coarse = ck.sharpness_study(study34, mus)
     fine = ck.sharpness_study(ck.Cylinder(par34, refine=2 * stability.STUDY_REFINE), mus)
     assert np.max(np.abs(coarse.residuals / fine.residuals - 1.0)) <= 1e-3
     assert np.max(np.abs(coarse.distances / fine.distances - 1.0)) <= 1e-8
