@@ -37,6 +37,7 @@ from .operators import apply_H1, hminus1_norm, riesz_solve
 from .params import bubble_profile, emden_fowler, from_pn, two_star
 
 N2_P_CAP = 12.0  # sweep cap for n = 2, where 2* is unbounded
+RANGE_CAP = 10_000  # most steps one a:b:step range may span
 
 
 def _parse_values(tokens):
@@ -47,8 +48,10 @@ def _parse_values(tokens):
     for tok in tokens:
         if ":" in str(tok):
             a, b, step = (float(x) for x in str(tok).split(":"))
-            if not (0 < step < math.inf and -math.inf < a <= b < math.inf):
-                raise ValueError(f"bad range {tok!r}: need finite a <= b and step > 0")
+            if not (0 < step < math.inf and -math.inf < a <= b < math.inf
+                    and (b - a) / step < RANGE_CAP):
+                raise ValueError(f"bad range {tok!r}: need finite a <= b, step > 0 "
+                                 f"and at most {RANGE_CAP} steps")
             k = int(math.floor((b - a) / step + 1e-9))
             out.extend(round(a + i * step, 12) for i in range(k + 1))
         else:

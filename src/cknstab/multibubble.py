@@ -221,7 +221,8 @@ def bubble_sum_residual(config):
     N = int(math.ceil(2.0 * S / 0.01)) + 1
     if N % 2 == 0:
         N += 1
-    cyl = Cylinder(par, grid=Grid(S=S, N=max(N, 4097)))
+    # sigma is radial and only sector 0 is read, so the smallest angular rule will do
+    cyl = Cylinder(par, grid=Grid(S=S, N=max(N, 4097)), L=1, M=2)
 
     s = cyl.grid.s
     profs = [bubble_profile(par, s, t) for t in config.centers]

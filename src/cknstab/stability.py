@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._discrete import fold, fold_weights
+from ._discrete import fold, fold_weights, nonlinearity
 from .cylinder import (
     ZonalField,
     gauss_gegenbauer,
@@ -60,6 +60,8 @@ log = logging.getLogger(__name__)
 STUDY_REFINE = 2  # refine 1 fails the 1e-7 corrector guard; 10 is at the h^-2 roundoff floor
 SERIES_HEAD = 1024      # head terms K of the R series; its value is cut at 2K
 SERIES_REL_TOL = 1e-10  # relative tail bound above which the R series warns
+POLISH_XTOL, POLISH_RTOL = 1e-14, 1e-15  # the fit's root polish stops below xtol + rtol |t|
+POLISH_STEPS = 100  # steps before the root polish gives up
 # 24-point Gauss-Legendre rule on [-1, 1] (weights sum to 2) for the R series
 _GL24_NODES, _GL24_WEIGHTS = gauss_gegenbauer(24, 0.5)
 _GL24_WEIGHTS = 2.0 * _GL24_WEIGHTS
@@ -88,20 +90,22 @@ def nearest_bubble(v):
 
     The translates V_t are the positive solutions, so this is the distance
     to the solution manifold.  The objective is stationary exactly where
-    <v, ds V_t> vanishes, since d/dt ||v - V_t||^2 = 2 <v, ds V_t> (||V_t||^2
-    is translation invariant up to truncation).  So <v, ds V_t> is scanned at
-    the lattice shifts t = j h nearest to 129 equispaced points of |t| <= S/2
+    g(t) = <v, ds V_t> vanishes, since d/dt ||v - V_t||^2 = 2 g(t) (||V_t||^2
+    is translation invariant up to truncation).  So g is scanned at the
+    lattice shifts t = j h nearest to 129 equispaced points of |t| <= S/2
     (32 h apart when N = 8193).  A lattice shift slides the sampled bubble
     along the grid, so each scan value pairs v with a window of one ds V
     profile sampled on the grid lattice extended by the scan half-width
-    (:func:`_dbubble_scan`).  Every sign change is polished to a root by
-    Brent's method (:func:`_brentq`) on the exact pairing, and the root with
-    the smallest objective is the center.  It must beat both ends of the
-    scan, or the field is too far from the bubble manifold.
+    (:func:`_dbubble_scan`).  Every sign change is polished to a root of the
+    exact pairing by Newton's method on its slope g'(t) = -<v, ds^2 V_t>,
+    inside the bracket (:func:`_newton_polish`).  The root with the smallest
+    objective is the center.  It must beat both ends of the scan, or the
+    field is too far from the bubble manifold.
     """
     cyl = v.cyl
+    par = cyl.params
     vn = h1_norm(v)
-    ref = math.sqrt(sphere_area(cyl.params.n) * cyl.quad_s(cyl.bubble() ** cyl.params.p))
+    ref = math.sqrt(sphere_area(par.n) * cyl.quad_s(cyl.bubble() ** par.p))
     if not (0.1 * ref <= vn <= 10.0 * ref):
         raise ValueError(
             f"field norm {vn:.3e} outside the trust range [0.1, 10] x {ref:.3e}"
@@ -109,29 +113,26 @@ def nearest_bubble(v):
 
     A0 = cyl.sector_ops[0]
     u0 = A0 @ v.profiles[0]  # precomputed pairing slice: <v, radial g>_H1 = h u0 . g
-    root_area = math.sqrt(sphere_area(cyl.params.n))
-    h = cyl.grid.h
+    root_area = math.sqrt(sphere_area(par.n))
+    h, s = cyl.grid.h, cyl.grid.s
 
-    def inner_with_bubble(t):
-        return h * float(u0 @ cyl.bubble(t)) * root_area
-
-    def inner_with_dbubble(t):
-        return h * float(u0 @ cyl.bubble_ds(t)) * root_area
-
-    def bubble_norm_sq(t):
+    def pairing_and_slope(t):
+        # ds V_t as bubble_profile_ds forms it; ds^2 V_t = Lam V_t - V_t^{p-1} by the profile ODE
         prof = cyl.bubble(t)
-        return h * float(prof @ (A0 @ prof)) * sphere_area(cyl.params.n)
+        ds = -par.sqrt_lam * prof * np.tanh(par.alpha * (s - t))
+        ds2 = par.Lam * prof - nonlinearity(prof, par.p)
+        return h * float(u0 @ ds) * root_area, -h * float(u0 @ ds2) * root_area
 
-    vn2 = vn * vn
-
-    def dist_sq(t):
-        return vn2 - 2.0 * inner_with_bubble(t) + bubble_norm_sq(t)
+    def dist_sq(t):  # ||v||^2 - 2 <v, V_t> + ||V_t||^2
+        prof = cyl.bubble(t)
+        return (vn * vn - 2.0 * (h * float(u0 @ prof) * root_area)
+                + h * float(prof @ (A0 @ prof)) * sphere_area(par.n))
 
     # the root of <v, ds V_t> is resolvable far below the flat floor of the
     # objective itself, so the center is located on the derivative alone
     ts, gs = _dbubble_scan(cyl, u0)
     roots = [
-        _brentq(inner_with_dbubble, a, b, xtol=1e-14, rtol=1e-15)
+        _newton_polish(pairing_and_slope, a, b)
         for a, b, ga, gb in zip(ts[:-1], ts[1:], gs[:-1], gs[1:])
         if ga * gb <= 0.0
     ]
@@ -141,9 +142,8 @@ def nearest_bubble(v):
                          "field too far from the bubble manifold")
     t_star = min(fits)[1]
 
-    g = inner_with_dbubble(t_star)
-    dref = math.sqrt(bubble_norm_sq(0.0))  # same scale as ||ds V|| up to O(1)
-    stationarity = abs(g) / (vn * dref)
+    g, _ = pairing_and_slope(t_star)
+    stationarity = abs(g) / (vn * ref)  # ||V|| has the scale of ||ds V|| up to O(1)
     if stationarity > 1e-8:
         raise ArithmeticError(
             f"center fit did not reach stationarity: residual {stationarity:.2e}"
@@ -164,56 +164,39 @@ def nearest_bubble(v):
     )
 
 
-def _brentq(f, xa, xb, xtol, rtol):
-    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+def _newton_polish(f, a, b):
+    """Root of g in the bracket [a, b], where f(t) returns (g(t), g'(t)).
 
-    A port of scipy's C ``brentq``, step for step, so it returns the same
-    float: the bracket is kept as xpre / xcur / xblk, a step is a secant or
-    inverse quadratic extrapolation when it is shorter than half the step
-    before last and than 3/2 of the bisection step, else a bisection.  Stops
-    when the bracket is below xtol + rtol |x|.  Raises ValueError when f has
-    the same sign at both ends and RuntimeError after 100 iterations.
+    Starts at the end with the smaller |g| and takes Newton steps, each
+    shrinking the bracket to the side where g changes sign; a step that
+    would leave the bracket, or a zero slope, bisects instead.  Stops when
+    the step is below POLISH_XTOL + POLISH_RTOL |t|.  Returns an end where
+    g == 0; raises ValueError when g has the same sign at both ends and
+    RuntimeError after POLISH_STEPS steps.
     """
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(100):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic extrapolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    (ga, dga), (gb, dgb) = f(a), f(b)
+    if ga == 0.0:
+        return a
+    if gb == 0.0:
+        return b
+    if (ga < 0.0) == (gb < 0.0):
+        raise ValueError("g(a) and g(b) must have different signs")
+    t, g, dg = (a, ga, dga) if abs(ga) <= abs(gb) else (b, gb, dgb)
+    for _ in range(POLISH_STEPS):
+        nxt = t - g / dg if dg != 0.0 else math.nan
+        if not min(a, b) < nxt < max(a, b):
+            nxt = 0.5 * (a + b)
+        step, t = abs(nxt - t), nxt
+        if step < POLISH_XTOL + POLISH_RTOL * abs(t):
+            return t
+        g, dg = f(t)
+        if g == 0.0:
+            return t
+        if (g < 0.0) == (ga < 0.0):
+            a, ga = t, g
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"failed to converge after 100 iterations, value is {xcur}")
+            b = t
+    raise RuntimeError(f"failed to converge after {POLISH_STEPS} steps, value is {t}")
 
 
 def _scan_lattice(grid):

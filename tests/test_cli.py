@@ -63,7 +63,8 @@ def test_inadmissible_pair_rejected(capsys, n, p):
     assert "inadmissible" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("token", ["3:4:0", "4:3:0.5", "2.2:inf:0.1", "2.2:2.8:nan"])
+@pytest.mark.parametrize("token", ["3:4:0", "4:3:0.5", "2.2:inf:0.1", "2.2:2.8:nan",
+                                   "2.2:2.8:1e-320", "2.2:2.8:1e-6"])
 def test_bad_range_rejected(capsys, token):
     with pytest.raises(SystemExit) as exc:
         cli.main(["constants", "--n", "3", "--p", token])

@@ -154,3 +154,15 @@ def test_two_bubble_diagnostics(par34):
     assert 0.0 < diag.residual
     assert diag.residual_over_Q > 0.0
     assert math.isfinite(diag.nonlinear_gap_norm)
+
+
+def test_smallest_rule_keeps_radial_residual(par34):
+    # a radial field reads only sector 0, so the angular rule drops out
+    grid = ck.Grid(S=30.0, N=4097)
+    s = grid.s
+    sigma = ck.bubble_profile(par34, s, -3.0) + ck.bubble_profile(par34, s, 3.0)
+    res = [
+        ck.hminus1_norm(ck.apply_H1(cyl.from_radial(sigma)))
+        for cyl in (ck.Cylinder(par34, grid=grid), ck.Cylinder(par34, grid=grid, L=1, M=2))
+    ]
+    assert res[1] == pytest.approx(res[0], rel=1e-13)

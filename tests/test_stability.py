@@ -83,75 +83,90 @@ def test_fit_scan_points_distinct(N):
         assert len(js) == 129 and np.all(np.diff(js) == (N - 1) // 256)
 
 
-def _brent_family():
-    """Seeded smooth, steep and flat-root functions with brackets of both orientations."""
+def _polish_family():
+    """Seeded smooth functions with simple roots, as (g, g') pairs, with
+    brackets of both orientations."""
     rng = np.random.default_rng(2024)
     for i in range(240):
-        r, s = rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-2.0, 3.0)
+        r, c = rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-2.0, 3.0)
         f = [
-            lambda x, r=r, s=s: math.tanh(s * (x - r)) + 0.05 * (x - r),  # smooth
-            lambda x, r=r, s=s: math.sinh(max(-700.0, min(s * (x - r), 700.0))),  # steep
-            lambda x, r=r, s=s: s * (x - r) ** 3,                           # flat root
-            lambda x, r=r, s=s: math.atan(s * (x - r) ** 5),                # flatter root
+            lambda x, r=r, c=c: (math.tanh(c * (x - r)) + 0.05 * (x - r),
+                                 c * (1.0 - math.tanh(c * (x - r)) ** 2) + 0.05),
+            lambda x, r=r, c=c: (math.atan(c * (x - r)), c / (1.0 + (c * (x - r)) ** 2)),
+            lambda x, r=r, c=c: (c * (x - r) + (x - r) ** 3, c + 3.0 * (x - r) ** 2),
+            lambda x, r=r, c=c: (math.expm1(0.1 * c * (x - r)),
+                                 0.1 * c * math.exp(0.1 * c * (x - r))),
         ][i % 4]
         a, b = rng.uniform(-3.0, r), rng.uniform(r, 3.0)
-        yield (f, a, b) if rng.random() < 0.5 else (f, b, a)
+        yield r, f, ((a, b) if rng.random() < 0.5 else (b, a))
 
 
-def _outcome(solver, f, a, b):
-    """The root or the exception type, and every abscissa the solver tried."""
-    xs = []
-
-    def g(x):
-        xs.append(x)
-        return f(x)
-
-    try:
-        return solver(g, a, b, xtol=1e-14, rtol=1e-15), xs
-    except (ValueError, RuntimeError) as exc:
-        return type(exc), xs
+def test_newton_polish_family():
+    for r, f, (a, b) in _polish_family():
+        x = stability._newton_polish(f, a, b)
+        assert min(a, b) <= x <= max(a, b)
+        assert abs(x - r) <= 1e-14 + 1e-15 * abs(x), (r, a, b)
 
 
-def test_brentq_port_matches_scipy_bitwise():
-    from scipy.optimize import brentq  # reference only; the package avoids it
-
-    results = []
-    for f, a, b in _brent_family():
-        want = _outcome(brentq, f, a, b)
-        assert _outcome(stability._brentq, f, a, b) == want, (a, b)
-        results.append(want[0])
-    # the family reaches both exits: converged roots and the iteration cap
-    assert sum(isinstance(r, float) for r in results) >= 100
-    assert results.count(RuntimeError) >= 50
-
-
-def test_brentq_port_edge_cases():
-    from scipy.optimize import brentq
-
+def test_newton_polish_edge_cases():
     def line(x):
-        return x - 1.0
+        return x - 1.0, 1.0
 
-    for a, b in ((1.0, 3.0), (-2.0, 1.0)):  # a root at either endpoint
-        assert stability._brentq(line, a, b, 1e-14, 1e-15) == 1.0
-        assert brentq(line, a, b, xtol=1e-14, rtol=1e-15) == 1.0
+    for a, b in ((1.0, 3.0), (-2.0, 1.0)):  # a root at either end
+        assert stability._newton_polish(line, a, b) == 1.0
     with pytest.raises(ValueError, match="different signs"):
-        stability._brentq(line, 2.0, 3.0, 1e-14, 1e-15)
-    with pytest.raises(ValueError):
-        brentq(line, 2.0, 3.0, xtol=1e-14, rtol=1e-15)
-    # at the triple root of x^3 Brent's method converges only linearly and
-    # is still 2e-10 away after 100 iterations: both give up there
+        stability._newton_polish(line, 2.0, 3.0)
+
+    # from the far end of a steep atan the Newton step leaves the bracket,
+    # so the first step bisects
     calls = []
+
+    def steep(x):
+        calls.append(x)
+        return math.atan(50.0 * (x - 0.3)), 50.0 / (1.0 + (50.0 * (x - 0.3)) ** 2)
+
+    x = stability._newton_polish(steep, -1.0, 2.0)
+    assert calls[2] == 0.5
+    assert abs(x - 0.3) <= 1e-14 + 1e-15 * 0.3
+
+    # a zero slope at the starting end bisects instead of dividing by zero
+    calls.clear()
 
     def cube(x):
         calls.append(x)
-        return x**3
+        return x**3 - 0.5, 3.0 * x**2
 
-    with pytest.raises(RuntimeError, match="after 100 iterations"):
-        stability._brentq(cube, -1.0, 2.0, 1e-14, 1e-15)
+    x = stability._newton_polish(cube, 2.0, 0.0)
+    assert calls[2] == 1.0
+    assert abs(x - 0.5 ** (1 / 3)) <= 1e-14 + 1e-15 * x
+
+    # a slope far too steep makes Newton creep; the step cap ends it
+    calls.clear()
+
+    def creep(x):
+        calls.append(x)
+        return x - 1.0, 1e3
+
+    with pytest.raises(RuntimeError, match="after 100 steps"):
+        stability._newton_polish(creep, 0.0, 3.0)
     assert len(calls) == 102
-    with pytest.raises(RuntimeError, match="after 100 iterations"):
-        brentq(cube, -1.0, 2.0, xtol=1e-14, rtol=1e-15)
-    assert calls[:102] == calls[102:]
+
+
+def test_fit_slope_is_pairing_derivative(cyl34, monkeypatch):
+    # the slope the fit hands its polish is d/dt <v, ds V_t>
+    seen, polish = [], stability._newton_polish
+
+    def spy(f, a, b):
+        seen.append(f)
+        return polish(f, a, b)
+
+    monkeypatch.setattr(stability, "_newton_polish", spy)
+    v = cyl34.bubble_field(0.37) + 0.05 * cyl34.from_radial(cyl34.bubble(-2.0) ** 2)
+    ck.nearest_bubble(v)
+    f, d = seen[0], 1e-4
+    for t in (-1.0, 0.37, 2.5):
+        fd = (f(t + d)[0] - f(t - d)[0]) / (2 * d)
+        assert f(t)[1] == pytest.approx(fd, rel=1e-6)
 
 
 def test_project_Y_identity(par34, cyl34):
