@@ -68,7 +68,6 @@ FLAGS = {
     "--grid-N": dict(dest="grid_N", type=int),
     "--grid-S": dict(dest="grid_S", type=float),
     "--L": dict(type=int, default=cyl_mod.DEFAULT_L),
-    "--M": dict(type=int, default=cyl_mod.DEFAULT_M),
     "--mu": dict(nargs="*", type=float, default=tuple(np.geomspace(1e-3, 3e-2, 7))),
     "--gaps": dict(nargs="*", type=float, default=tuple(np.linspace(4.0, 12.0, 9)),
                    help="center gaps in units of 1/sqrt(Lambda)"),
@@ -76,13 +75,13 @@ FLAGS = {
     "--format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
     "--seed": dict(type=int, default=0),
 }
-_GRID = ("--n", "--p", "--grid-N", "--grid-S", "--L", "--M")
+_GRID = ("--n", "--p", "--grid-N", "--grid-S")
 _OUT = ("--out", "--format")
 # the flags each command reads, and no others
 COMMAND_FLAGS = {
     "constants": ("--config", *_GRID, *_OUT),
     "spectrum": ("--config", *_GRID, *_OUT),
-    "sharpness": ("--config", *_GRID, "--mu", *_OUT),
+    "sharpness": ("--config", *_GRID, "--L", "--mu", *_OUT),
     "interactions": ("--config", "--n", "--p", "--gaps", *_OUT),
     "selftest": ("--config", "--seed", *_OUT),
 }
@@ -157,11 +156,11 @@ def resolve_config(argv=None):
     return cfg
 
 
-def _make_cylinder(cfg, params, refine=1):
+def _make_cylinder(cfg, params, L, refine=1):
     base = cyl_mod.default_grid(params, refine)
     grid = Grid(S=base.S if cfg["grid_S"] is None else cfg["grid_S"],
                 N=base.N if cfg["grid_N"] is None else cfg["grid_N"])
-    return Cylinder(params, grid=grid, L=cfg["L"], M=cfg["M"])
+    return Cylinder(params, grid=grid, L=L)
 
 
 def _fmt(v):
@@ -193,7 +192,7 @@ def _meta(cfg):
     meta = {"version": __version__, "command": cfg["command"]}
     if "pairs" in cfg:
         meta["pairs"] = [[p, n] for (p, n) in cfg["pairs"]]
-    meta.update((key, cfg[key]) for key in ("L", "M", "seed") if key in cfg)
+    meta.update((key, cfg[key]) for key in ("L", "seed") if key in cfg)
     return meta
 
 
@@ -227,7 +226,8 @@ def cmd_constants(cfg):
     ]
 
     def point_rows(p, n):
-        cyl = _make_cylinder(cfg, from_pn(p, n))
+        # the constants read sectors 0 and 1 only, so the smallest angular rule will do
+        cyl = _make_cylinder(cfg, from_pn(p, n), L=1)
         sc = stab.stability_constants(cyl)
         floor = hminus1_norm(apply_H1(cyl.bubble_field()))
         yield {
@@ -247,7 +247,8 @@ def cmd_spectrum(cfg):
     columns = ["n", "p", "ell", "index", "gamma", "residual", "grid_signature", "error"]
 
     def point_rows(p, n):
-        cyl = _make_cylinder(cfg, from_pn(p, n))
+        # the walk forms each sector's band itself and reads no angular rule
+        cyl = _make_cylinder(cfg, from_pn(p, n), L=1)
         sig = f"N={cyl.grid.N};S={cyl.grid.S:.6g}"
         g3, spectra = spec_mod.sector_walk(cyl)
         for spec in spectra[:2]:
@@ -269,7 +270,7 @@ def cmd_sharpness(cfg):
     ]
 
     def point_rows(p, n):
-        cyl = _make_cylinder(cfg, from_pn(p, n), refine=stab.STUDY_REFINE)
+        cyl = _make_cylinder(cfg, from_pn(p, n), L=cfg["L"], refine=stab.STUDY_REFINE)
         rep = stab.sharpness_study(cyl, cfg["mu"])
         for i, mu in enumerate(rep.mus):
             yield {

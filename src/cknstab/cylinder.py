@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_L = 8
-DEFAULT_M = 64
 DEFAULT_H = 0.05
 MIN_POINTS = 4096  # per refinement unit; actual N is the next odd count
 
@@ -148,24 +147,22 @@ class SphereQuad:
     """Golub-Welsch Gauss-Jacobi rule in x = theta_n plus a zonal-harmonic table.
 
     The rule is :func:`gauss_gegenbauer` with lam = (n-2)/2, i.e. the
-    Jacobi weight (1 - x^2)^{(n-3)/2} of the polar angle on S^{n-1}.
-    Weights are scaled so that constants integrate to |S^{n-1}|; harmonics are
-    generated by the Gegenbauer three-term recurrence (Chebyshev for n = 2)
-    and normalized against the quadrature itself; each is positive at the
-    largest node, since the zeros of C_l interlace with those of C_M.  The
-    rule is exact for the degree-2L products Y_l Y_m only when M >= L + 1,
-    and the spectral gap needs the sectors ell = 0 and 1, so L >= 1 and
-    M >= L + 1 are required.
+    Jacobi weight (1 - x^2)^{(n-3)/2} of the polar angle on S^{n-1}, on
+    M = 2L + 2 nodes.  Weights are scaled so that constants integrate to
+    |S^{n-1}|; harmonics are generated by the Gegenbauer three-term
+    recurrence (Chebyshev for n = 2) and normalized against the quadrature
+    itself; each is positive at the largest node, since the zeros of C_l
+    interlace with those of C_M.  These M nodes integrate the products
+    Y_l Y_m exactly, and at M = L + 1 the harmonics would span every function
+    on the nodes and hide any angular tail.  L >= 1 is required.
     """
 
-    def __init__(self, n, M=DEFAULT_M, L=DEFAULT_L):
-        if L < 1 or M < L + 1:
-            raise ValueError(
-                f"angular rule needs L >= 1 and M >= L + 1, got L={L}, M={M}"
-            )
+    def __init__(self, n, L=DEFAULT_L):
+        if L < 1:
+            raise ValueError(f"angular rule needs L >= 1, got L={L}")
         self.n = int(n)
-        self.M = int(M)
         self.L = int(L)
+        self.M = M = 2 * self.L + 2
         lam = (n - 2) / 2.0
         x, w = gauss_gegenbauer(M, lam)
         w = w * (sphere_area(n) / w.sum())
@@ -209,11 +206,11 @@ class Cylinder:
     solver reads, and the sector operators now; ``ground_state`` and the sharp
     family's ``corrector`` on first use."""
 
-    def __init__(self, params, grid=None, L=DEFAULT_L, M=DEFAULT_M, refine=1):
+    def __init__(self, params, grid=None, L=DEFAULT_L, refine=1):
         self.params = params
         self.grid = default_grid(params, refine) if grid is None else grid
         self.grid.validate_for(params)
-        self.sphere = SphereQuad(params.n, M=M, L=L)
+        self.sphere = SphereQuad(params.n, L=L)
         self.L = self.sphere.L
         self.neg_d2 = Band.neg_d2(self.grid.N, self.grid.h)
         self.sector_ops = [
@@ -362,8 +359,7 @@ def pointwise_map_with_tail(f, fn):
     Returns the projected field and ``tail``, the share of ||fn(f)||^2, by the
     tensor quadrature, that the projection misses (clipped at 0; 0.0 when
     fn(f) vanishes).  The projection is exact (up to roundoff) whenever fn(f)
-    is band-limited at degree L, e.g. for polynomial maps of band-limited
-    fields with L and M large enough.  When ``profiles[1:]`` are all exactly
+    is band-limited at degree L.  When ``profiles[1:]`` are all exactly
     zero, f is constant on each sphere, equal to Y_0 times its degree-0
     profile, and so is fn(f): the result is ``fn(Y_0 f_0) / Y_0`` in degree 0
     and zero in every other degree, and the tail is exactly 0.0, with no

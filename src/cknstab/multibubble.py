@@ -222,7 +222,7 @@ def bubble_sum_residual(config):
     if N % 2 == 0:
         N += 1
     # sigma is radial and only sector 0 is read, so the smallest angular rule will do
-    cyl = Cylinder(par, grid=Grid(S=S, N=max(N, 4097)), L=1, M=2)
+    cyl = Cylinder(par, grid=Grid(S=S, N=max(N, 4097)), L=1)
 
     s = cyl.grid.s
     profs = [bubble_profile(par, s, t) for t in config.centers]

@@ -34,6 +34,7 @@ __all__ = ["SectorSpectrum", "eigensolve_sector", "gamma3", "sector_walk"]
 B_FLOOR = 1e-300  # keeps the pencil definite where the weight underflows
 GAP_MARGIN = 1e-6  # a gap candidate must exceed p - 1 by more than this
 RESIDUAL_BOUND = 1e-10  # largest relative pencil residual a returned pair may carry
+SECTOR_CAP = 16  # most sectors the gap walk solves; the sweeps all stop after sector 2
 
 
 @dataclass(frozen=True)
@@ -49,18 +50,18 @@ class SectorSpectrum:
 def eigensolve_sector(cyl, ell, k=3):
     """The k smallest eigenvalues of the sector-ell pencil with eigenprofiles.
 
-    Profiles are normalized to int V0^{p-2} phi^2 = 1 and signed so that the
-    first nonzero lobe from the left of center is positive.  Lanczos starts
-    from the constant vector on each folded parity pencil, so the result is a
-    deterministic function of the cylinder.  Raises ``ArithmeticError`` when
-    a pair misses RESIDUAL_BOUND.
+    The sector band is formed here, so any ell >= 0 is solved, whatever the
+    cylinder's L.  Profiles are normalized to int V0^{p-2} phi^2 = 1 and
+    signed so that the first nonzero lobe from the left of center is
+    positive.  Lanczos starts from the constant vector on each folded parity
+    pencil, so the result is a deterministic function of the cylinder.
+    Raises ``ArithmeticError`` when a pair misses RESIDUAL_BOUND.
     """
     if k < 1 or k > 10:
         raise ValueError("eigenvalue count must satisfy 1 <= k <= 10")
     weight = cyl.ground_state ** (cyl.params.p - 2.0)
-    gammas, profiles, residuals = _pencil_eigenpairs(
-        cyl.sector_ops[ell], weight, cyl.grid.quad_w, k
-    )
+    A = cyl.neg_d2.shifted(cyl.sphere.eigenvalue(ell) + cyl.params.Lam)
+    gammas, profiles, residuals = _pencil_eigenpairs(A, weight, cyl.grid.quad_w, k)
     return SectorSpectrum(
         ell=ell, eigenvalues=gammas, eigenprofiles=profiles, residuals=residuals
     )
@@ -131,33 +132,30 @@ def sector_walk(cyl):
 
     Sectors ell = 0, 1, 2, ... are solved with k = 3, 2, 1 eigenvalues; the
     returned list holds them in that order and always starts with sectors 0
-    and 1 (the walk needs L >= 1).  Sector ell's pencil is
-    (A_0 + ell(ell+n-2) I, B), so by Courant-Fischer each of its eigenvalues
-    is nondecreasing in ell.  The walk stops after the first sector whose
-    smallest eigenvalue is already no lower than the best candidate: no later
-    sector can lower it.  Eigenvalues within GAP_MARGIN of p - 1 belong to
-    the level p - 1 itself and are not gap candidates.
+    and 1.  Sector ell's pencil is (A_0 + ell(ell+n-2) I, B), so by
+    Courant-Fischer each of its eigenvalues is nondecreasing in ell.  The
+    walk stops after the first sector whose smallest eigenvalue is already
+    no lower than the best candidate: no later sector can lower it.
+    Eigenvalues within GAP_MARGIN of p - 1 belong to the level p - 1 itself
+    and are not gap candidates.  A walk that solves SECTOR_CAP sectors
+    without stopping raises ``ArithmeticError``.
     """
     p = cyl.params.p
     best = np.inf
     spectra = []
-    for ell in range(cyl.L + 1):
+    for ell in range(SECTOR_CAP):
         k = 3 if ell == 0 else (2 if ell == 1 else 1)
         spec = eigensolve_sector(cyl, ell, k=k)
         spectra.append(spec)
         if spec.eigenvalues[0] >= best:
-            break  # every eigenvalue of every later sector is at least this one
+            return best, spectra  # every eigenvalue of every later sector is at least this one
         for gamma in spec.eigenvalues:
             if gamma > p - 1.0 + GAP_MARGIN:
                 best = min(best, float(gamma))
-    return best, spectra
+    raise ArithmeticError(f"gap walk reached {SECTOR_CAP} sectors without a Courant-Fischer stop")
 
 
 def gamma3(cyl):
-    """Smallest eigenvalue above p - 1 + GAP_MARGIN across sectors ell <= L.
-
-    The sectors are walked upward by :func:`sector_walk`, which stops at the
-    first sector that cannot lower the gap: by Courant-Fischer the pencil
-    (A_0 + ell(ell+n-2) I, B) has eigenvalues nondecreasing in ell.
-    """
+    """Smallest eigenvalue above p - 1 + GAP_MARGIN across all sectors, by
+    the walk of :func:`sector_walk`."""
     return sector_walk(cyl)[0]

@@ -144,17 +144,6 @@ def test_spectrum_solves_each_sector_once(tmp_path, monkeypatch):
                 for r in rows if r["ell"] == ell] == expect
 
 
-def test_spectrum_rejects_L0(tmp_path):
-    out = tmp_path / "s.csv"
-    assert cli.main(["spectrum", "--n", "3", "--p", "4", "--L", "0",
-                     "--out", str(out)]) == 3
-    with open(out, newline="") as fh:
-        header, *rows = csv.reader(fh)
-    assert len(rows) == 1 and len(rows[0]) == len(header) == 8
-    assert rows[0][header.index("error")] == ("ValueError: angular rule needs L >= 1 "
-                                              "and M >= L + 1, got L=0, M=64")
-
-
 def test_constants_json_meta(tmp_path):
     out = tmp_path / "c.json"
     assert cli.main(["constants", "--n", "3", "--p", "4", "--format", "json",
@@ -182,9 +171,9 @@ def test_config_file_with_override(tmp_path):
 
 @pytest.mark.parametrize("line, message", [
     ("grid_n = 129", "unrecognized arguments: --grid-n 129"),
-    ("m = 32", "unrecognized arguments: --m 32"),
+    ("grid = 129", "unrecognized arguments: --grid 129"),
     ("format = xml", "argument --format: invalid choice: 'xml'"),
-    ("L = abc", "argument --L: invalid int value: 'abc'"),
+    ("grid_N = abc", "argument --grid-N: invalid int value: 'abc'"),
     ("seed = 1", "unrecognized arguments: --seed 1"),
     ("p = abc", "argument --p: could not convert string to float: 'abc'"),
     ("grid_N 129", "bad config line: 'grid_N 129\\n'"),
@@ -204,11 +193,11 @@ def test_config_file_rejects_bad_input(tmp_path, capsys, line, message):
 def test_config_keys_are_long_flags(tmp_path):
     """``_`` and ``-`` are interchangeable in keys, and ``fmt`` means ``format``."""
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("n = 3\np = 4\nfmt = json\ngrid_N = 129\ngrid-S = 40\nM = 32\n")
+    cfgfile.write_text("n = 3\np = 4\nfmt = json\ngrid_N = 129\ngrid-S = 40\nL = 4\n")
     out = tmp_path / "o.json"
-    assert cli.main(["constants", "--config", str(cfgfile), "--out", str(out)]) == 3
+    assert cli.main(["sharpness", "--config", str(cfgfile), "--out", str(out)]) == 3
     doc = json.loads(out.read_text())
-    assert doc["meta"]["M"] == 32
+    assert doc["meta"]["L"] == 4
     assert doc["rows"][0]["error"] == "ValueError: grid spacing 0.625 exceeds 0.05"
 
 
@@ -218,7 +207,7 @@ INTERACTION_KINDS = ["pair_min_exponent", "pair_balanced", "derivative",
 
 @pytest.mark.parametrize("argv, clean_kinds, cells", [
     (["constants", "--grid-N", "129"], [], {}),
-    (["spectrum", "--L", "0"], [],
+    (["spectrum", "--grid-N", "129"], [],
      {"ell": "", "index": "", "gamma": "", "residual": "", "grid_signature": ""}),
     (["sharpness", "--grid-N", "129"], [], {"kind": "error", "mu": ""}),
     (["interactions", "--gaps", "5", "600"], INTERACTION_KINDS, {"kind": "error", "gap": ""}),
@@ -301,15 +290,14 @@ def test_sharpness_uses_grid_flags(tmp_path, flags):
 
 # the flags each command takes, and a valid value for each
 COMMAND_FLAGS = {
-    "constants": {"--config", "--n", "--p", "--grid-N", "--grid-S", "--L", "--M",
+    "constants": {"--config", "--n", "--p", "--grid-N", "--grid-S", "--out", "--format"},
+    "spectrum": {"--config", "--n", "--p", "--grid-N", "--grid-S", "--out", "--format"},
+    "sharpness": {"--config", "--n", "--p", "--grid-N", "--grid-S", "--L", "--mu",
                   "--out", "--format"},
-    "spectrum": {"--config", "--n", "--p", "--grid-N", "--grid-S", "--L", "--M",
-                 "--out", "--format"},
-    "sharpness": {"--config", "--n", "--p", "--grid-N", "--grid-S", "--L", "--M",
-                  "--mu", "--out", "--format"},
     "interactions": {"--config", "--n", "--p", "--gaps", "--out", "--format"},
     "selftest": {"--config", "--seed", "--out", "--format"},
 }
+# no command takes --M (the node count is 2L + 2), so every command refuses it
 FLAG_VALUES = {"--config": "run.cfg", "--n": "3", "--p": "4", "--grid-N": "4097",
                "--grid-S": "30", "--L": "4", "--M": "32", "--mu": "0.01", "--gaps": "5",
                "--out": "o.csv", "--format": "json", "--seed": "1"}
@@ -335,9 +323,9 @@ def test_command_takes_its_own_flags(command):
 
 
 @pytest.mark.parametrize("command, keys", [
-    ("constants", {"pairs", "L", "M"}),
-    ("spectrum", {"pairs", "L", "M"}),
-    ("sharpness", {"pairs", "L", "M"}),
+    ("constants", {"pairs"}),
+    ("spectrum", {"pairs"}),
+    ("sharpness", {"pairs", "L"}),
     ("interactions", {"pairs"}),
     ("selftest", {"seed"}),
 ])
@@ -350,7 +338,7 @@ def test_json_meta_records_own_flags(tmp_path, monkeypatch, command, keys):
     meta = json.loads(out.read_text())["meta"]
     assert set(meta) == {"version", "command", *keys}
     assert meta["command"] == command
-    flags = {"pairs": {"--n", "--p"}, "L": {"--L"}, "M": {"--M"}, "seed": {"--seed"}}
+    flags = {"pairs": {"--n", "--p"}, "L": {"--L"}, "seed": {"--seed"}}
     assert all(flags[key] <= COMMAND_FLAGS[command] for key in keys)
 
 

@@ -37,16 +37,17 @@ def test_zonal_orthonormality(n):
     assert float(np.sum(quad.w)) == pytest.approx(ck.sphere_area(n), rel=1e-13)
 
 
-@pytest.mark.parametrize("L, M", [(0, 64), (-1, 64), (8, 8), (3, 3)])
-def test_sphere_quad_rejects_bad_degrees(L, M):
-    # M = L gives a Gram defect of 0.84 at n = 3, L = 8; L = 0 leaves no
-    # ell = 1 sector for the spectral gap
-    with pytest.raises(ValueError, match="L >= 1 and M >= L \\+ 1"):
-        ck.SphereQuad(3, M=M, L=L)
+@pytest.mark.parametrize("L", [0, -1])
+def test_sphere_quad_rejects_bad_degrees(L):
+    # L = 0 leaves no degree-1 harmonic, so theta_n is not a field
+    with pytest.raises(ValueError, match="L >= 1"):
+        ck.SphereQuad(3, L=L)
 
 
 def test_sphere_quad_smallest_rule_is_exact():
-    assert ck.SphereQuad(3, M=9, L=8).gram_defect() <= 1e-12
+    quad = ck.SphereQuad(3, L=1)
+    assert quad.M == 4
+    assert quad.gram_defect() <= 1e-12
 
 
 @pytest.mark.parametrize("M", [12, 24, 64])
@@ -54,7 +55,8 @@ def test_sphere_quad_smallest_rule_is_exact():
 def test_sphere_quad_matches_roots_jacobi(n, M):
     from scipy.special import roots_jacobi  # reference only; the package avoids it
 
-    quad = ck.SphereQuad(n, M=M, L=min(ck.cylinder.DEFAULT_L, M - 1))
+    quad = ck.SphereQuad(n, L=M // 2 - 1)  # the rule ties M = 2L + 2
+    assert quad.M == M
     a = (n - 3) / 2.0
     x, w = roots_jacobi(M, a, a)
     np.testing.assert_allclose(quad.x, x, rtol=0.0, atol=1e-15)
@@ -164,7 +166,7 @@ def test_parseval(cyl34):
 
 def test_grid_convergence_of_bubble_mass(par34):
     base = ck.Cylinder(par34)
-    fine = ck.Cylinder(par34, refine=2, M=128)
+    fine = ck.Cylinder(par34, refine=2)
     v0 = ck.lp_norm(base.bubble_field(), par34.p) ** par34.p
     v1 = ck.lp_norm(fine.bubble_field(), par34.p) ** par34.p
     assert abs(v1 - v0) / v0 <= 1e-9
@@ -230,11 +232,15 @@ def test_field_serialization_roundtrip(tmp_path, cyl34):
     # a distinct but compatible cylinder: fields from both combine
     assert g.cyl is not cyl34
     assert ck.h1_inner(g, f) == ck.h1_inner(f, f)
-    # the header does not record M, which h1_inner and +/- never read
-    cyl32 = ck.Cylinder(cyl34.params, M=32)
-    f32 = cyl32.field(f.profiles)
-    ck.save_field(f32, path)
-    assert ck.h1_inner(ck.load_field(path), f32) == ck.h1_inner(f32, f32)
+    # the header's L fixes the angular rule, so a non-default L round-trips too
+    cyl3 = ck.Cylinder(cyl34.params, L=3)
+    f3 = cyl3.from_theta_power(cyl3.bubble() ** 2, 1) + cyl3.bubble_field()
+    ck.save_field(f3, path)
+    g3 = ck.load_field(path)
+    assert (g3.cyl.L, g3.cyl.sphere.M) == (3, 8)
+    assert np.array_equal(g3.cyl.sphere.Y, cyl3.sphere.Y)
+    assert np.array_equal(g3.profiles, f3.profiles)
+    assert ck.h1_inner(g3, f3) == ck.h1_inner(f3, f3)
 
 
 def test_duality_pairing_matches_quadrature(cyl34):

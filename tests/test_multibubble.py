@@ -163,6 +163,6 @@ def test_smallest_rule_keeps_radial_residual(par34):
     sigma = ck.bubble_profile(par34, s, -3.0) + ck.bubble_profile(par34, s, 3.0)
     res = [
         ck.hminus1_norm(ck.apply_H1(cyl.from_radial(sigma)))
-        for cyl in (ck.Cylinder(par34, grid=grid), ck.Cylinder(par34, grid=grid, L=1, M=2))
+        for cyl in (ck.Cylinder(par34, grid=grid), ck.Cylinder(par34, grid=grid, L=1))
     ]
     assert res[1] == pytest.approx(res[0], rel=1e-13)

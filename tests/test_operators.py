@@ -6,6 +6,7 @@ import pytest
 import cknstab as ck
 from cknstab.cylinder import duality_pairing
 from cknstab._oracles import bubble_mass_exact
+from cknstab.operators import TAIL_BUDGET
 
 
 @pytest.mark.parametrize("t", [0.0, 1.7])
@@ -56,6 +57,16 @@ def test_apply_H1_tail_diagnostic(cyl34):
     )
     out = ck.apply_H1(w)
     assert out.tail_fraction <= 1e-8
+
+
+@pytest.mark.parametrize("n, p", [(3, 4.0), (3, 3.0), (2, 4.0), (3, 3.9213), (4, 2.9371)])
+def test_tail_guard_trips_at_tied_rule(n, p):
+    # the nonlinearity of a degree-L field reaches degree 3L or beyond; the
+    # default rule's M = 2L + 2 nodes must show that content as a tail
+    cyl = ck.Cylinder(ck.from_pn(p, n))
+    prof = np.zeros((cyl.L + 1, cyl.grid.N))
+    prof[cyl.L] = cyl.bubble()
+    assert ck.apply_H1(cyl.field(prof)).tail_fraction > TAIL_BUDGET
 
 
 def test_linearized_kernel_translation_mode(cyl34):

@@ -134,6 +134,26 @@ def test_gamma3_equals_full_sector_scan(p, n):
     assert ck.gamma3(cyl) == full
 
 
+@pytest.mark.parametrize("cap", [1, 2])
+def test_sector_walk_raises_at_cap(cyl34, monkeypatch, cap):
+    # at (3, 4) the walk stops after sector 2; a cap below that must not truncate it
+    monkeypatch.setattr(spectrum, "SECTOR_CAP", cap)
+    with pytest.raises(ArithmeticError, match=f"reached {cap} sectors"):
+        spectrum.sector_walk(cyl34)
+
+
+def test_sector_beyond_rule_matches_stored_band(par34, cyl34):
+    # the sector band is formed on demand, bitwise as Cylinder stores it, so
+    # the smallest angular rule solves sectors above its L
+    small = ck.Cylinder(par34, grid=cyl34.grid, L=1)
+    weight = cyl34.ground_state ** (par34.p - 2.0)
+    for ell in (2, 5):
+        old = spectrum._pencil_eigenpairs(cyl34.sector_ops[ell], weight, cyl34.grid.quad_w, 2)
+        new = ck.eigensolve_sector(small, ell, k=2)
+        for a, b in zip(old, (new.eigenvalues, new.eigenprofiles, new.residuals)):
+            assert np.array_equal(a, b)
+
+
 def test_gamma3_grid_stable(par34):
     g_a = ck.gamma3(ck.Cylinder(par34))
     g_b = ck.gamma3(ck.Cylinder(par34, refine=2))
