@@ -5,7 +5,8 @@ Every axial operator in the package is the 4th-order central stencil of
 potential), either on the full grid or folded onto one parity class.
 :class:`Band` stores such a symmetric pentadiagonal matrix by its upper band
 and provides the matvec, a banded LU solve and a banded Cholesky solve whose
-factor is computed once per operator.
+factor is computed once per operator.  The LAPACK behind both solves is
+numpy's bundled OpenBLAS, or scipy's where numpy's lacks it (see ``_lapack``).
 
 Homogeneous Dirichlet data at the endpoints is realized by zero extension:
 the 5-point stencil simply sees zeros beyond the grid.  Fields that reach the
@@ -22,8 +23,8 @@ grid, and ``E^T E`` is the diagonal :func:`fold_weights`.
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cholesky_banded, solve_banded
-from scipy.linalg.lapack import dpbtrs
+
+from ._lapack import cho_solver, solve_banded
 
 
 class Band:
@@ -94,7 +95,7 @@ class Band:
 
     @cached_property
     def _cholesky(self):
-        return cholesky_banded(self.ab)
+        return cho_solver(self.ab)
 
     def cho_solve(self, b):
         """Solve A x = b for positive definite A through the stored factor.
@@ -109,10 +110,7 @@ class Band:
             raise ValueError(
                 f"right-hand side of shape {b.shape} must be finite with {self.n} rows"
             )
-        x, info = dpbtrs(self._cholesky, b)
-        if info != 0:
-            raise ValueError(f"dpbtrs rejected argument {-info}")
-        return x
+        return self._cholesky(b)
 
 
 def fold(x, parity):

@@ -1,13 +1,10 @@
 """Closed forms that the self-test and the test suite check the numerics against.
 
 Each one is derived independently of the code it checks (Beta and Gamma
-integrals, the explicit flat-space bubble, a pointwise inequality) and uses
-only ``math`` and ``numpy``.
+integrals, the explicit flat-space bubble) and uses only ``math``.
 """
 
 import math
-
-import numpy as np
 
 
 def sphere_moment_beta(n, k):
@@ -36,17 +33,3 @@ def plane_bubble(params, lam, r):
         1.0 / (params.p - 2.0)
     )
     return amp / (1.0 + (lam * r) ** w) ** (2.0 / (params.p - 2.0))
-
-
-def inequality_ratio(p, x, y):
-    """Largest ratio of | |x+y|^{p-2}(x+y) - |x|^{p-2}x - (p-1)|x|^{p-2}y |
-    to [p > 3] |x|^{p-3} y^2 + |y|^{p-1} over the samples where the latter is
-    positive; the elementary inequality holds when it is finite."""
-    lhs = np.abs(
-        np.abs(x + y) ** (p - 2) * (x + y)
-        - np.abs(x) ** (p - 2) * x
-        - (p - 1) * np.abs(x) ** (p - 2) * y
-    )
-    rhs = float(p > 3) * np.abs(x) ** (p - 3) * y**2 + np.abs(y) ** (p - 1)
-    mask = rhs > 0
-    return float(np.max(lhs[mask] / rhs[mask]))

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from . import params as _params
 from ._discrete import Band, newton_ground_state
@@ -126,8 +125,9 @@ def gauss_gegenbauer(M, lam):
     """M-point Gauss rule for the weight (1 - x^2)^{lam - 1/2} on [-1, 1].
 
     Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
-    matrix of the orthonormal Gegenbauer polynomials and the weights are the
-    squared first eigenvector components, which sum to 1.  Both are
+    matrix of the orthonormal Gegenbauer polynomials (M x M, small enough for
+    a dense eigensolver) and the weights are the squared first eigenvector
+    components, which sum to 1.  Both are
     symmetrized, so the rule is exactly odd/even about x = 0.  At M = 64
     they agree with 40-digit rules to 4e-16 (nodes) and 1.5e-13 relative
     (weights) for lam = 0 ... 3.5.
@@ -138,7 +138,7 @@ def gauss_gegenbauer(M, lam):
     else:
         k = np.arange(1.0, M)
         off = np.sqrt(k * (k + 2 * lam - 1) / (4 * (k + lam) * (k + lam - 1)))
-    x, V = eigh_tridiagonal(np.zeros(M), off)
+    x, V = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
     w = V[0] ** 2
     return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 

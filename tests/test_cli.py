@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cknstab as ck
-from cknstab import cli
+from cknstab import _lapack, cli
 from cknstab import spectrum as spec_mod
 
 
@@ -23,14 +23,18 @@ def run_cli(args):
 
 
 def test_cli_import_floor():
-    """Importing the CLI loads banded LAPACK, not the rest of scipy."""
-    code = ("import sys, cknstab.cli; print(*(m for m in sys.modules if m in "
-            "('scipy.special', 'scipy.optimize', 'scipy.interpolate') "
-            "or m.startswith('scipy.sparse')))")
+    """Importing the CLI loads no scipy module when numpy's OpenBLAS has the
+    banded LAPACK routines, and at most scipy.linalg when it does not."""
+    code = ("import sys, cknstab.cli; from cknstab import _lapack; "
+            "print(_lapack._LIB is not None, *(m for m in sys.modules if m.startswith('scipy')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "\n"
+    openblas, *loaded = proc.stdout.split()
+    if openblas == "True":
+        assert loaded == []
+    assert not [m for m in loaded if m in ("scipy.special", "scipy.optimize", "scipy.interpolate")
+                or m.startswith("scipy.sparse")]
 
 
 def test_parser_is_built_once_and_keeps_its_defaults(monkeypatch):
@@ -236,6 +240,20 @@ def test_selftest_exits_clean(capsys):
     assert stdout.count("PASS") >= 10
 
 
+@pytest.mark.parametrize("fallback", [False, True])
+def test_selftest_checks_the_banded_backend(monkeypatch, fallback):
+    """The LAPACK check passes on either backend and names the one in use."""
+    if fallback:
+        monkeypatch.setattr(_lapack, "_LIB", None)
+    checks = dict(cli._selftest_checks({"seed": 3}))
+    ok, detail = checks["banded_solves_vs_dense"]()
+    assert ok, detail
+    assert detail.endswith(f"via {_lapack.backend()}")
+    assert ("fallback" in detail) == (fallback or _lapack._LIB is None)
+    ok, detail = checks["lanczos_vs_dense_eigh"]()
+    assert ok, detail
+
+
 def test_selftest_negative_seed_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["selftest", "--seed", "-1"])
@@ -278,7 +296,7 @@ def test_sharpness_command_slopes(tmp_path):
     assert abs(slopes["naive_residual"] - 2.0) <= 0.1
 
 
-@pytest.mark.parametrize("flags", [["--L", "0"], ["--grid-N", "129"]])
+@pytest.mark.parametrize("flags", [["--grid-S", "1"], ["--grid-N", "129"]])
 def test_sharpness_uses_grid_flags(tmp_path, flags):
     out = tmp_path / "s.json"
     status = cli.main(["sharpness", "--n", "3", "--p", "4", *flags,
@@ -286,6 +304,23 @@ def test_sharpness_uses_grid_flags(tmp_path, flags):
     assert status == 3
     doc = json.loads(out.read_text())
     assert doc["rows"][0]["error"].startswith("ValueError")
+
+
+@pytest.mark.parametrize("L", [0, 1, cli.L_CAP, cli.L_CAP + 1])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_sharpness_L_is_capped(tmp_path, capsys, L, source):
+    """--L outside 1..L_CAP is a usage error, from the command line or a config file."""
+    argv = ["sharpness", "--L", str(L)]
+    if source == "config":
+        (tmp_path / "run.cfg").write_text(f"L = {L}\n")
+        argv = ["sharpness", "--config", str(tmp_path / "run.cfg")]
+    if 1 <= L <= cli.L_CAP:
+        assert cli.resolve_config(argv)["L"] == L
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.resolve_config(argv)
+    assert exc.value.code == 2
+    assert f"argument --L: must satisfy 1 <= L <= {cli.L_CAP}, got {L}" in capsys.readouterr().err
 
 
 # the flags each command takes, and a valid value for each
