@@ -4,9 +4,10 @@ Every axial operator in the package is the 4th-order central stencil of
 -d^2/ds^2 on a uniform grid plus a diagonal (a constant shift or a
 potential), either on the full grid or folded onto one parity class.
 :class:`Band` stores such a symmetric pentadiagonal matrix by its upper band
-and provides the matvec, a banded LU solve and a banded Cholesky solve whose
-factor is computed once per operator.  The LAPACK behind both solves is
-numpy's bundled OpenBLAS, or scipy's where numpy's lacks it (see ``_lapack``).
+and provides the matvec, a banded LU solve, and a banded Cholesky solve and
+half solve whose factor is computed once per operator.  The LAPACK behind the
+solves is numpy's bundled OpenBLAS, or scipy's where numpy's lacks it (see
+``_lapack``).
 
 Homogeneous Dirichlet data at the endpoints is realized by zero extension:
 the 5-point stencil simply sees zeros beyond the grid.  Fields that reach the
@@ -105,12 +106,21 @@ class Band:
         point.  This is the LAPACK call that ``cho_solve_banded`` makes, with
         the same checks, so the solution is the same bit for bit.
         """
+        return self._cholesky(self._rhs(b))
+
+    def cho_half_solve(self, b):
+        """U^{-T} b, where A = U^T U is the stored factor, so that its squared
+        length is b . A^{-1} b: one triangular sweep, where ``cho_solve``
+        takes two.  Raises as ``cho_solve`` does."""
+        return self._cholesky.half(self._rhs(b))
+
+    def _rhs(self, b):
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.n or not np.isfinite(b).all():
             raise ValueError(
                 f"right-hand side of shape {b.shape} must be finite with {self.n} rows"
             )
-        return self._cholesky(b)
+        return b
 
 
 def fold(x, parity):

@@ -2,15 +2,17 @@
 
 numpy's wheels bundle an ILP64 OpenBLAS (``numpy.libs/`` on Linux,
 ``numpy/.dylibs/`` on macOS) whose Fortran routines ``scipy_dpbtrf_64_``,
-``scipy_dpbtrs_64_`` and ``scipy_dgbsv_64_`` are called here through ctypes,
-so banded LAPACK needs no scipy import.  Where numpy's library lacks any of the
-three, scipy's wrappers of the same routines serve, imported only on that path.
+``scipy_dpbtrs_64_``, ``scipy_dtbtrs_64_`` and ``scipy_dgbsv_64_`` are called
+here through ctypes, so banded LAPACK needs no scipy import.  Where numpy's
+library lacks any of the four, scipy's wrappers of the same routines serve,
+imported only on that path.
 Band storage is that of the LAPACK Users' Guide (Anderson et al., 3rd ed.).
 
 Each argument is a ctypes object of its exact Fortran type (an int64 by
 reference, a pointer into a C-contiguous array made here, the hidden length of
-``uplo``), so no ``argtypes`` are declared: their conversions would cost about
-3 us a call, 10% of a ``dpbtrs`` solve on 1025 points (2-vCPU x86-64 VM).
+each character argument), so no ``argtypes`` are declared: their conversions
+would cost about 3 us a call, 10% of a ``dpbtrs`` solve on 1025 points
+(2-vCPU x86-64 VM).
 """
 
 import ctypes
@@ -18,17 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-_UPLO, _UPLO_LEN = ctypes.c_char_p(b"U"), ctypes.c_size_t(1)
+_UPLO, _TRANS, _DIAG = ctypes.c_char_p(b"U"), ctypes.c_char_p(b"T"), ctypes.c_char_p(b"N")
+_CHAR_LEN = ctypes.c_size_t(1)
 
 
 def _openblas():
-    """numpy's bundled OpenBLAS, if it exports all three routines; else None."""
+    """numpy's bundled OpenBLAS, if it exports all four routines; else None."""
     pkg = Path(np.__file__).parent
     for path in sorted([*pkg.parent.glob("numpy.libs/*openblas64_*"),
                         *pkg.glob(".dylibs/*openblas64_*")]):
         try:
             lib = ctypes.CDLL(str(path))
-            for name in ("dpbtrf", "dpbtrs", "dgbsv"):
+            for name in ("dpbtrf", "dpbtrs", "dtbtrs", "dgbsv"):
                 getattr(lib, f"scipy_{name}_64_").restype = None
             return lib
         except (OSError, AttributeError):
@@ -71,35 +74,53 @@ def _check(info, routine, why=""):
 
 
 def cho_solver(ab):
-    """The solve b -> A^{-1} b for a banded SPD A in LAPACK upper layout.
+    """The solve b -> A^{-1} b for a banded SPD A = U^T U in LAPACK upper
+    layout; its attribute ``half`` is the solve b -> U^{-T} b.
 
-    The Cholesky factor is computed here, once, as ``cholesky_banded`` does,
-    and so is every ``dpbtrs`` argument but the right-hand side.
+    The Cholesky factor U is computed here, once, as ``cholesky_banded`` does,
+    and so is every ``dpbtrs`` and ``dtbtrs`` argument but the right-hand side.
+    ``half`` is one triangular sweep, where the full solve takes two, and
+    ``|U^{-T} b|^2 = b . A^{-1} b``.
     """
     if _LIB is None:
         from scipy.linalg import cholesky_banded
-        from scipy.linalg.lapack import dpbtrs
+        from scipy.linalg.lapack import dpbtrs, dtbtrs
         c = cholesky_banded(ab)
 
         def solve(b):
             x, info = dpbtrs(c, b)
             _check(info, "dpbtrs")
             return x
+
+        def half_solve(b):
+            x, info = dtbtrs(c, b, trans="T")
+            _check(info, "dtbtrs", "singular matrix")
+            return x
+        solve.half = half_solve
         return solve
     ct = np.array(np.asarray_chkfinite(ab).T, dtype=np.float64, order="C")  # factor.T
     n, ldab = ct.shape  # a band that is not 2-D stops here
     head, band = (_UPLO, _i(n), _i(ldab - 1)), (_ptr(ct), _i(ldab))
     info = ctypes.c_int64()
-    _LIB.scipy_dpbtrf_64_(*head, *band, ctypes.byref(info), _UPLO_LEN)
+    _LIB.scipy_dpbtrf_64_(*head, *band, ctypes.byref(info), _CHAR_LEN)
     _check(info.value, "dpbtrf", f"{info.value}-th leading minor not positive definite")
 
     def solve(b):
         xt, nrhs = _columns(b, n)
         info = ctypes.c_int64()
         _LIB.scipy_dpbtrs_64_(*head, nrhs, *band, _ptr(xt), head[1], ctypes.byref(info),
-                              _UPLO_LEN)
+                              _CHAR_LEN)
         _check(info.value, "dpbtrs")
         return xt.T
+
+    def half_solve(b):
+        xt, nrhs = _columns(b, n)
+        info = ctypes.c_int64()
+        _LIB.scipy_dtbtrs_64_(_UPLO, _TRANS, _DIAG, *head[1:], nrhs, *band, _ptr(xt), head[1],
+                              ctypes.byref(info), _CHAR_LEN, _CHAR_LEN, _CHAR_LEN)
+        _check(info.value, "dtbtrs", "singular matrix")
+        return xt.T
+    solve.half = half_solve
     return solve
 
 

@@ -384,6 +384,8 @@ def _selftest_checks(cfg):
             x = np.linalg.solve(dense(band), b)
             for got in (band.solve(b), band.cho_solve(b)):
                 worst = max(worst, float(np.max(np.abs(got - x)) / np.max(np.abs(x))))
+            y = band.cho_half_solve(b)  # |U^{-T} b|^2 = b . A^{-1} b
+            worst = max(worst, abs(float(y @ y) - float(b @ x)) / float(b @ x))
         return worst <= 1e-12, f"max rel err {worst:.2e} via {_lapack.backend()}"
 
     def lanczos_check():

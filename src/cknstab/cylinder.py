@@ -195,8 +195,16 @@ class SphereQuad:
         return float(np.max(np.abs(G - np.eye(self.L + 1))))
 
     def theta_power_coeffs(self, k):
-        """Coefficients of theta_n^k against the normalized Y_l, l <= L."""
-        return (self.Y * self.w) @ self.x**k
+        """Coefficients of theta_n^k against the normalized Y_l, l <= L.
+
+        theta_n^k is a polynomial of degree k with the parity of k, and the
+        rule integrates Y_l x^k exactly, so the coefficients of degree l > k
+        or of odd l - k are exactly 0, not the roundoff the rule leaves there.
+        """
+        c = (self.Y * self.w) @ self.x**k
+        c[k + 1:] = 0.0
+        c[1 - k % 2::2] = 0.0
+        return c
 
 
 class Cylinder:
@@ -252,13 +260,13 @@ class Cylinder:
         """Field f(s, theta) = profile(s), no angular dependence."""
         prof = np.zeros((self.L + 1, self.grid.N))
         prof[0] = math.sqrt(sphere_area(self.params.n)) * np.asarray(profile)
-        return ZonalField(self, prof)
+        return ZonalField._adopt(self, prof)
 
     def from_theta_power(self, profile, k):
         """Field profile(s) * theta_n^k, expanded over the zonal basis."""
         coeffs = self.sphere.theta_power_coeffs(k)
         prof = np.outer(coeffs, np.asarray(profile, dtype=float))
-        return ZonalField(self, prof)
+        return ZonalField._adopt(self, prof)
 
     def bubble_field(self, t=0.0):
         """V_t as a field; ``from_radial(ground_state)`` is the discrete V_0."""
@@ -276,11 +284,22 @@ class ZonalField:
     """Axisymmetric function stored as per-degree axial profiles.
 
     ``profiles[l]`` multiplies the normalized zonal harmonic of degree l; the
-    array is frozen after construction, so fields behave as immutable values.
+    array is frozen after construction (a caller's array is copied first), so
+    fields behave as immutable values.
     """
 
     def __init__(self, cyl, profiles):
-        profiles = np.array(profiles, dtype=float, copy=True)
+        self._take(cyl, np.array(profiles, dtype=float, copy=True))
+
+    @classmethod
+    def _adopt(cls, cyl, profiles):
+        """A field on a float array the package has just allocated and keeps
+        no other reference to: checked and frozen in place, not copied."""
+        f = cls.__new__(cls)
+        f._take(cyl, profiles)
+        return f
+
+    def _take(self, cyl, profiles):
         if profiles.shape != (cyl.L + 1, cyl.grid.N):
             raise ValueError(
                 f"profiles shape {profiles.shape} does not match "
@@ -302,14 +321,14 @@ class ZonalField:
 
     def __add__(self, other):
         _check_same(self, other)
-        return ZonalField(self.cyl, self.profiles + other.profiles)
+        return ZonalField._adopt(self.cyl, self.profiles + other.profiles)
 
     def __sub__(self, other):
         _check_same(self, other)
-        return ZonalField(self.cyl, self.profiles - other.profiles)
+        return ZonalField._adopt(self.cyl, self.profiles - other.profiles)
 
     def __mul__(self, c):
-        return ZonalField(self.cyl, float(c) * self.profiles)
+        return ZonalField._adopt(self.cyl, float(c) * self.profiles)
 
     __rmul__ = __mul__
 
@@ -326,12 +345,16 @@ def duality_pairing(f, g):
 
 
 def h1_inner(f, g):
-    """H^1 inner product; symmetric, realized through the sector operators."""
+    """H^1 inner product; symmetric, realized through the sector operators.
+
+    A sector where f or g is identically zero adds exactly 0.0 and is skipped.
+    """
     _check_same(f, g)
     cyl = f.cyl
     tot = 0.0
     for l in range(cyl.L + 1):
-        tot += float(f.profiles[l] @ (cyl.sector_ops[l] @ g.profiles[l]))
+        if np.any(f.profiles[l]) and np.any(g.profiles[l]):
+            tot += float(f.profiles[l] @ (cyl.sector_ops[l] @ g.profiles[l]))
     return cyl.grid.h * tot
 
 
@@ -371,14 +394,14 @@ def pointwise_map_with_tail(f, fn):
         y0 = cyl.sphere.Y[0, 0]  # the constant, normalized degree-0 harmonic
         proj = np.zeros_like(f.profiles)
         proj[0] = fn(y0 * f.profiles[0]) / y0
-        return ZonalField(cyl, proj), 0.0
+        return ZonalField._adopt(cyl, proj), 0.0
     vals = fn(f.synthesize())
     proj = (vals @ (cyl.sphere.w[:, None] * cyl.sphere.Y.T)).T
     # discarded angular tail, by Bessel against the discrete angular rule
     total = (vals**2) @ cyl.sphere.w @ cyl.grid.quad_w
     kept = float(np.sum(proj**2 @ cyl.grid.quad_w))
     tail = max(total - kept, 0.0) / total if total > 0 else 0.0
-    return ZonalField(cyl, proj), tail
+    return ZonalField._adopt(cyl, proj), tail
 
 
 # -- flat-file serialization ---------------------------------------------------
@@ -420,4 +443,4 @@ def load_field(path, cyl=None):
         profiles = np.loadtxt(fh, delimiter=",", ndmin=2)
     if profiles.shape != (L + 1, N):
         raise ValueError(f"malformed field file: {path}")
-    return ZonalField(cyl, profiles)
+    return ZonalField._adopt(cyl, profiles)

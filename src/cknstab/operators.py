@@ -5,9 +5,11 @@ The distributional residual of a field v is
     H(v) = v_ss + Delta_theta v - Lambda v + |v|^{p-2} v,
 
 and its dual norm is realized exactly as the Riesz dual of the discrete H^1
-inner product: solve (-d^2 - Delta_theta + Lambda) phi = f sector by sector
-and return sqrt(<f, phi>).  Because the same banded operators define both the
+inner product: sqrt(<f, phi>) with (-d^2 - Delta_theta + Lambda) phi = f
+solved sector by sector.  Because the same banded operators define both the
 inner product and the solve, <f, phi> = ||phi||_{H^1}^2 holds at roundoff.
+With each sector's stored Cholesky factor A_l = U_l^T U_l, <f_l, phi_l> is
+formed as ||U_l^{-T} f_l||^2, one triangular sweep in place of the solve's two.
 """
 
 import logging
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from ._discrete import fold, fold_weights, nonlinearity, unfold
-from .cylinder import ZonalField, duality_pairing, pointwise_map_with_tail
+from .cylinder import ZonalField, pointwise_map_with_tail
 
 __all__ = [
     "Residual",
@@ -43,6 +45,12 @@ class Residual(ZonalField):
         super().__init__(cyl, profiles)
         self.tail_fraction = tail_fraction
 
+    @classmethod
+    def _adopt(cls, cyl, profiles, tail_fraction=0.0):
+        r = super()._adopt(cyl, profiles)
+        r.tail_fraction = tail_fraction
+        return r
+
 
 def apply_H1(v):
     """Residual v_ss + Delta_theta v - Lambda v + |v|^{p-2} v of a field.
@@ -61,7 +69,7 @@ def apply_H1(v):
     nonlin, tail = pointwise_map_with_tail(v, lambda z: nonlinearity(z, p))
     if tail > TAIL_BUDGET:
         log.warning("nonlinearity shed %.2e of its angular energy (budget %e)", tail, TAIL_BUDGET)
-    return Residual(cyl, out + nonlin.profiles, tail_fraction=tail)
+    return Residual._adopt(cyl, out + nonlin.profiles, tail_fraction=tail)
 
 
 def linearized_apply(rho, t=0.0):
@@ -76,7 +84,7 @@ def linearized_apply(rho, t=0.0):
     out = np.empty_like(rho.profiles)
     for l in range(cyl.L + 1):
         out[l] = cyl.sector_ops[l] @ rho.profiles[l] - weight * rho.profiles[l]
-    return Residual(cyl, out)
+    return Residual._adopt(cyl, out)
 
 
 def riesz_solve(f):
@@ -91,23 +99,38 @@ def riesz_solve(f):
     sector and reused for the life of the cylinder.
     """
     cyl = f.cyl
+    _check_conditioning(cyl)
+    out = np.zeros_like(f.profiles)
+    for l in range(cyl.L + 1):
+        if np.any(f.profiles[l]):
+            out[l] = cyl.sector_ops[l].cho_solve(f.profiles[l])
+    return ZonalField._adopt(cyl, out)
+
+
+def hminus1_norm(f):
+    """Dual norm sqrt(<f, riesz_solve(f)>); equals the H^1 norm of the solve.
+
+    Formed as sqrt(h sum_l ||U_l^{-T} f_l||^2) from each sector's stored
+    factor A_l = U_l^T U_l, over the sectors where f is not identically zero,
+    with the conditioning report of :func:`riesz_solve`.
+    """
+    cyl = f.cyl
+    _check_conditioning(cyl)
+    tot = 0.0
+    for l in range(cyl.L + 1):
+        if np.any(f.profiles[l]):
+            y = cyl.sector_ops[l].cho_half_solve(f.profiles[l])
+            tot += float(y @ y)
+    return math.sqrt(cyl.grid.h * tot)
+
+
+def _check_conditioning(cyl):
     h = cyl.grid.h
     cond_bound = (
         64.0 / (12.0 * h * h) + cyl.sphere.eigenvalue(cyl.L) + cyl.params.Lam
     ) / cyl.params.Lam
     if cond_bound > 1e12:
         log.warning("sector solve conditioning bound %.2e exceeds 1e12", cond_bound)
-    out = np.zeros_like(f.profiles)
-    for l in range(cyl.L + 1):
-        if np.any(f.profiles[l]):
-            out[l] = cyl.sector_ops[l].cho_solve(f.profiles[l])
-    return ZonalField(cyl, out)
-
-
-def hminus1_norm(f):
-    """Dual norm sqrt(<f, riesz_solve(f)>); equals the H^1 norm of the solve."""
-    phi = riesz_solve(f)
-    return math.sqrt(max(duality_pairing(f, phi), 0.0))
 
 
 def _parity_of(prof):

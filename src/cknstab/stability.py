@@ -75,14 +75,16 @@ _GL24_WEIGHTS = 2.0 * _GL24_WEIGHTS
 @dataclass(frozen=True)
 class BubbleFit:
     """Best translate V_t of the bubble family: the center, the distance
-    ||v - V_t||, the coefficient along the degenerate direction and the
-    stationarity of the fit."""
+    ||v - V_t||, the coefficient along the degenerate direction
+    V_t^{p/2} Y_1 and its H^1 size, the stationarity of the fit, and the
+    remainder of v off that direction (``project_Y``'s remainder)."""
 
     t_star: float
     distance: float
     projY: float
     projY_norm: float
     stationarity: float
+    remainder: ZonalField
 
 
 def nearest_bubble(v):
@@ -153,14 +155,14 @@ def nearest_bubble(v):
     # form loses half the digits to cancellation near the manifold
     distance = _distance_to_bubble(v, t_star)
 
-    coeff, _ = project_Y(v, t_star)
-    yfield = _y_mode_field(cyl, t_star)
+    coeff, remainder, y_norm = _project_Y(v, t_star)
     return BubbleFit(
         t_star=float(t_star),
         distance=distance,
         projY=coeff,
-        projY_norm=abs(coeff) * h1_norm(yfield),
+        projY_norm=abs(coeff) * y_norm,
         stationarity=stationarity,
+        remainder=remainder,
     )
 
 
@@ -227,14 +229,21 @@ def _y_mode_field(cyl, t=0.0):
     prof = cyl.bubble(t) ** (cyl.params.p / 2.0)
     profiles = np.zeros((cyl.L + 1, cyl.grid.N))
     profiles[1] = prof
-    return ZonalField(cyl, profiles)
+    return ZonalField._adopt(cyl, profiles)
 
 
 def project_Y(v, t=0.0):
     """Coefficient of v along V_t^{p/2} Y_1 in H^1, and the remainder field."""
+    coeff, remainder, _ = _project_Y(v, t)
+    return coeff, remainder
+
+
+def _project_Y(v, t):
+    """``project_Y`` and the H^1 norm of V_t^{p/2} Y_1, from one build of that field."""
     y = _y_mode_field(v.cyl, t)
-    coeff = h1_inner(v, y) / h1_inner(y, y)
-    return coeff, v - coeff * y
+    y_sq = h1_inner(y, y)
+    coeff = h1_inner(v, y) / y_sq
+    return coeff, v - coeff * y, math.sqrt(y_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +534,7 @@ def _corrector(cyl):
     weight = (p - 1.0) * V ** (p - 2.0)
     for l in range(cyl.L + 1):
         res[l] = cyl.sector_ops[l] @ eta.profiles[l] - weight * eta.profiles[l]
-    res_field = ZonalField(cyl, res) + (p - 2.0) * C0 * cyl.from_radial(
+    res_field = ZonalField._adopt(cyl, res) + (p - 2.0) * C0 * cyl.from_radial(
         V ** (p - 1.0)
     ) - ((p - 1.0) * (p - 2.0) / 2.0) * cyl.from_theta_power(V ** (2.0 * p - 3.0), 2)
     res_l2 = math.sqrt(l2_norm_sq(res_field))
@@ -609,8 +618,7 @@ def sharpness_study(cyl, mus):
         w = counterexample(cyl, mu)
         r = hminus1_norm(apply_H1(w))
         fit = nearest_bubble(w)
-        rem = w - fit.projY * _y_mode_field(cyl, fit.t_star)
-        perp = _distance_to_bubble(rem, fit.t_star)
+        perp = _distance_to_bubble(fit.remainder, fit.t_star)
         r_naive = hminus1_norm(apply_H1(naive_family(cyl, mu)))
         rows.append((r, fit.distance, fit.projY_norm, perp, r_naive))
     r, d, pn, pd, rn = (np.array(col) for col in zip(*rows))
@@ -637,4 +645,4 @@ def _distance_to_bubble(field, t):
     cyl = field.cyl
     diff_prof = field.profiles.copy()
     diff_prof[0] -= math.sqrt(sphere_area(cyl.params.n)) * cyl.bubble(t)
-    return h1_norm(ZonalField(cyl, diff_prof))
+    return h1_norm(ZonalField._adopt(cyl, diff_prof))

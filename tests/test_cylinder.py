@@ -71,6 +71,19 @@ def test_sphere_quad_matches_roots_jacobi(n, M):
             ck.sphere_moment(n, k), rel=1e-13)
 
 
+@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_theta_power_coeffs_exact_zeros(n, k):
+    quad = ck.SphereQuad(n, L=8)
+    full = (quad.Y * quad.w) @ quad.x**k  # the whole projection, roundoff included
+    got = quad.theta_power_coeffs(k)
+    l = np.arange(quad.L + 1)
+    zero = (l > k) | ((l - k) % 2 == 1)
+    assert np.all(got[zero] == 0.0)
+    assert np.max(np.abs(full[zero])) <= 1e-14  # they are 0 up to roundoff
+    np.testing.assert_allclose(got[~zero], full[~zero], rtol=0.0, atol=1e-15)
+
+
 def test_h1_norm_of_bubble_equals_lp_mass(par34, cyl34):
     f = cyl34.bubble_field()
     lhs = ck.h1_inner(f, f)
@@ -81,6 +94,19 @@ def test_h1_norm_of_bubble_equals_lp_mass(par34, cyl34):
 def test_h1_inner_with_zero(cyl34):
     f = cyl34.bubble_field()
     assert ck.h1_inner(f, cyl34.field(np.zeros((cyl34.L + 1, cyl34.grid.N)))) == 0.0
+
+
+def test_h1_inner_skips_empty_sectors_exactly(cyl34):
+    rng = np.random.default_rng(5)
+    shape = (cyl34.L + 1, cyl34.grid.N)
+    fp, gp = (rng.standard_normal(shape) * cyl34.bubble() for _ in range(2))
+    fp[[2, 3, 7]] = 0.0
+    gp[[1, 3, 8]] = 0.0
+    f, g = cyl34.field(fp), cyl34.field(gp)
+    tot = 0.0  # every sector, empty ones included
+    for l in range(cyl34.L + 1):
+        tot += float(fp[l] @ (cyl34.sector_ops[l] @ gp[l]))
+    assert ck.h1_inner(f, g) == cyl34.grid.h * tot
 
 
 def test_h1_inner_parity_orthogonality(cyl34):

@@ -1,14 +1,15 @@
 """The banded LAPACK binding against scipy's wrappers, on both backends.
 
 scipy stays the oracle here: on numpy's OpenBLAS every solve must equal
-``cholesky_banded`` + ``cho_solve_banded`` and ``solve_banded`` bit for bit,
-and the forced scipy fallback must give the same bits and raise the same
-errors.
+``cholesky_banded`` + ``cho_solve_banded`` (``dtbtrs`` for the half solve) and
+``solve_banded`` bit for bit, and the forced scipy fallback must give the same
+bits and raise the same errors.
 """
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg.lapack import dtbtrs
 
 from cknstab import _lapack
 from cknstab._discrete import Band
@@ -59,6 +60,17 @@ def test_cholesky_matches_scipy_bitwise(backend, N, parity, ncols):
     assert x.shape == b.shape
     assert np.array_equal(x, sla.cho_solve_banded((sla.cholesky_banded(A.ab), False), b))
     assert np.array_equal(A.cho_solve(b), x)  # again through the stored factor
+
+
+@pytest.mark.parametrize("N,parity,ncols", CASES)
+def test_half_solve_matches_scipy_dtbtrs_bitwise(backend, N, parity, ncols):
+    A = band(N, parity, 0.0)
+    b = rhs(A.n, ncols)
+    y = A.cho_half_solve(b)
+    want, info = dtbtrs(sla.cholesky_banded(A.ab), b, trans="T")
+    assert info == 0 and y.shape == b.shape
+    assert np.array_equal(y, want)
+    assert float(np.sum(y * y)) == pytest.approx(float(np.sum(b * A.cho_solve(b))), rel=1e-13)
 
 
 @pytest.mark.parametrize("shift", [0.0, -3.0e2], ids=["spd", "indefinite"])
@@ -125,3 +137,23 @@ def test_binding_checks_what_it_passes_to_lapack():
     for bad in (ab[2], ab[None]):
         with pytest.raises(ValueError):
             _lapack.cho_solver(bad)
+
+
+@pytest.mark.parametrize("n", [128, 130])
+def test_half_solve_rejects_bad_input(backend, n):
+    A = band(129, None, 0.0)
+    with pytest.raises(ValueError):
+        A.cho_half_solve(np.ones(n))
+    b = np.ones(129)
+    b[7] = np.nan
+    with pytest.raises(ValueError):
+        A.cho_half_solve(b)
+
+
+def test_half_solve_binding_checks_row_count():
+    if _lapack._LIB is None:
+        pytest.skip("numpy's OpenBLAS lacks the banded routines on this install")
+    half = _lapack.cho_solver(band(129, None, 0.0).ab).half
+    for b in (np.ones(130), np.ones(128), np.ones((129, 2, 2))):
+        with pytest.raises(ValueError, match="needs 129 rows"):
+            half(b)

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import cknstab as ck
+from cknstab import _lapack
 from cknstab.cylinder import duality_pairing
 from cknstab._oracles import bubble_mass_exact
 from cknstab.operators import TAIL_BUDGET
@@ -130,6 +132,33 @@ def test_dual_norm_exactly_dual(cyl34):
     phi = ck.riesz_solve(fd)
     assert duality_pairing(fd, phi) == pytest.approx(nf * ck.h1_norm(phi), rel=1e-10)
     assert nf == pytest.approx(ck.h1_norm(phi), rel=1e-10)
+
+
+def test_dual_norm_matches_riesz_pairing(cyl34):
+    rng = np.random.default_rng(12)
+    for occupied in ([0], [0, 1, 2], list(range(cyl34.L + 1))):
+        prof = np.zeros((cyl34.L + 1, cyl34.grid.N))
+        prof[occupied] = rng.standard_normal((len(occupied), cyl34.grid.N)) * cyl34.bubble()
+        f = cyl34.field(prof)
+        want = math.sqrt(duality_pairing(f, ck.riesz_solve(f)))
+        assert ck.hminus1_norm(f) == pytest.approx(want, rel=1e-14)
+
+
+def test_dual_norm_same_bits_on_both_backends(par34, monkeypatch):
+    norms = []
+    for lib in (_lapack._LIB, None):  # a fresh cylinder factors on each backend
+        monkeypatch.setattr(_lapack, "_LIB", lib)
+        cyl = ck.Cylinder(par34, L=3)
+        prof = np.random.default_rng(13).standard_normal((cyl.L + 1, cyl.grid.N))
+        norms.append(ck.hminus1_norm(cyl.field(prof * cyl.bubble())))
+    assert norms[0] == norms[1]
+
+
+def test_dual_norm_rejects_nan(cyl34):
+    prof = np.zeros((cyl34.L + 1, cyl34.grid.N))
+    prof[1, 9] = np.nan  # no field holds NaN, so pass the profiles on their own
+    with pytest.raises(ValueError, match="finite"):
+        ck.hminus1_norm(SimpleNamespace(cyl=cyl34, profiles=prof))
 
 
 @pytest.mark.parametrize("eps_pair", [(1e-3, 1e-4)])
