@@ -103,24 +103,16 @@ class Band:
 
         Raises ``numpy.linalg.LinAlgError`` when A is not positive definite,
         and ``ValueError`` when b is not finite or has not one row per grid
-        point.  This is the LAPACK call that ``cho_solve_banded`` makes, with
-        the same checks, so the solution is the same bit for bit.
+        point, checked once as the binding copies b.  This is the LAPACK call
+        that ``cho_solve_banded`` makes, so the solution is the same bit for bit.
         """
-        return self._cholesky(self._rhs(b))
+        return self._cholesky(b)
 
     def cho_half_solve(self, b):
         """U^{-T} b, where A = U^T U is the stored factor, so that its squared
         length is b . A^{-1} b: one triangular sweep, where ``cho_solve``
         takes two.  Raises as ``cho_solve`` does."""
-        return self._cholesky.half(self._rhs(b))
-
-    def _rhs(self, b):
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n or not np.isfinite(b).all():
-            raise ValueError(
-                f"right-hand side of shape {b.shape} must be finite with {self.n} rows"
-            )
-        return b
+        return self._cholesky.half(b)
 
 
 def fold(x, parity):

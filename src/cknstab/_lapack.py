@@ -58,11 +58,11 @@ def _ptr(a, ctype=ctypes.c_double):
 
 
 def _columns(b, n):
-    """The ndarray b.T as a C-ordered float64 copy (LAPACK's column-major
-    right-hand sides, overwritten by the solution) and its column count."""
-    xt = np.array(b.T, dtype=np.float64, order="C")
-    if xt.ndim not in (1, 2) or xt.shape[-1] != n:
-        raise ValueError(f"right-hand side of shape {xt.T.shape} needs {n} rows")
+    """b.T as a C-ordered float64 copy (LAPACK's column-major right-hand sides,
+    overwritten by the solution) and its column count; b must be finite with n rows."""
+    xt = np.array(np.asarray(b).T, dtype=np.float64, order="C")
+    if xt.ndim not in (1, 2) or xt.shape[-1] != n or not np.isfinite(xt).all():
+        raise ValueError(f"right-hand side of shape {xt.T.shape} needs {n} rows of finite values")
     return xt, _i(1 if xt.ndim == 1 else len(xt))
 
 
@@ -88,12 +88,12 @@ def cho_solver(ab):
         c = cholesky_banded(ab)
 
         def solve(b):
-            x, info = dpbtrs(c, b)
+            x, info = dpbtrs(c, _columns(b, c.shape[1])[0].T)
             _check(info, "dpbtrs")
             return x
 
         def half_solve(b):
-            x, info = dtbtrs(c, b, trans="T")
+            x, info = dtbtrs(c, _columns(b, c.shape[1])[0].T, trans="T")
             _check(info, "dtbtrs", "singular matrix")
             return x
         solve.half = half_solve
@@ -133,7 +133,7 @@ def solve_banded(l_and_u, ab, b):
     n = ab.shape[-1]
     if ab.shape != (kl + ku + 1, n):
         raise ValueError(f"band of shape {ab.shape} does not hold {kl} + {ku} diagonals")
-    xt, nrhs = _columns(np.asarray_chkfinite(b), n)
+    xt, nrhs = _columns(b, n)
     lut = np.zeros((n, 2 * kl + ku + 1))  # kl more rows for the fill-in of pivoting
     lut[:, kl:] = ab.T
     ipiv, info = np.empty(n, dtype=np.int64), ctypes.c_int64()

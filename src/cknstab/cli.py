@@ -143,6 +143,9 @@ def resolve_config(argv=None):
         ap.error(f"argument --seed: must be non-negative, got {cfg['seed']}")
     if not 1 <= cfg.get("L", 1) <= L_CAP:
         ap.error(f"argument --L: must satisfy 1 <= L <= {L_CAP}, got {cfg['L']}")
+    for gap in cfg.get("gaps", ()):
+        if not 0.0 < gap < math.inf:
+            ap.error(f"argument --gaps: must be finite and positive, got {gap}")
     if "p" not in cfg:
         return cfg
     try:

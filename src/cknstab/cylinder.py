@@ -285,7 +285,9 @@ class ZonalField:
 
     ``profiles[l]`` multiplies the normalized zonal harmonic of degree l; the
     array is frozen after construction (a caller's array is copied first), so
-    fields behave as immutable values.
+    fields behave as immutable values.  ``degrees`` lists, in ascending order,
+    the degrees whose profile is not identically zero; every sector loop walks
+    it in place of testing each profile.
     """
 
     def __init__(self, cyl, profiles):
@@ -310,6 +312,7 @@ class ZonalField:
         profiles.flags.writeable = False
         self.cyl = cyl
         self.profiles = profiles
+        self.degrees = np.flatnonzero(profiles.any(axis=1)).tolist()
 
     def radial_profile(self):
         """The angular mean profile, i.e. the l = 0 part as a raw function."""
@@ -347,13 +350,14 @@ def duality_pairing(f, g):
 def h1_inner(f, g):
     """H^1 inner product; symmetric, realized through the sector operators.
 
-    A sector where f or g is identically zero adds exactly 0.0 and is skipped.
+    Only the degrees in both ``f.degrees`` and ``g.degrees`` are summed, in
+    ascending order; every other sector adds exactly 0.0.
     """
     _check_same(f, g)
     cyl = f.cyl
     tot = 0.0
-    for l in range(cyl.L + 1):
-        if np.any(f.profiles[l]) and np.any(g.profiles[l]):
+    for l in f.degrees:
+        if l in g.degrees:
             tot += float(f.profiles[l] @ (cyl.sector_ops[l] @ g.profiles[l]))
     return cyl.grid.h * tot
 
@@ -382,15 +386,15 @@ def pointwise_map_with_tail(f, fn):
     Returns the projected field and ``tail``, the share of ||fn(f)||^2, by the
     tensor quadrature, that the projection misses (clipped at 0; 0.0 when
     fn(f) vanishes).  The projection is exact (up to roundoff) whenever fn(f)
-    is band-limited at degree L.  When ``profiles[1:]`` are all exactly
-    zero, f is constant on each sphere, equal to Y_0 times its degree-0
-    profile, and so is fn(f): the result is ``fn(Y_0 f_0) / Y_0`` in degree 0
-    and zero in every other degree, and the tail is exactly 0.0, with no
-    tensor grid built.  Any other field is synthesized on the full (N, M)
-    tensor grid and all L + 1 degrees are projected.
+    is band-limited at degree L.  When ``f.degrees`` holds no degree above 0,
+    f is constant on each sphere, equal to Y_0 times its degree-0 profile, and
+    so is fn(f): the result is ``fn(Y_0 f_0) / Y_0`` in degree 0 and zero in
+    every other degree, and the tail is exactly 0.0, with no tensor grid
+    built.  Any other field is synthesized on the full (N, M) tensor grid and
+    all L + 1 degrees are projected.
     """
     cyl = f.cyl
-    if not np.any(f.profiles[1:]):
+    if max(f.degrees, default=0) == 0:
         y0 = cyl.sphere.Y[0, 0]  # the constant, normalized degree-0 harmonic
         proj = np.zeros_like(f.profiles)
         proj[0] = fn(y0 * f.profiles[0]) / y0

@@ -35,41 +35,35 @@ TAIL_BUDGET = 1e-8  # relative angular energy the nonlinearity may shed
 
 
 class Residual(ZonalField):
-    """Field layout reused for elements of the dual space.
+    """Field layout, ``degrees`` included, reused for elements of the dual space.
 
     ``tail_fraction`` records the relative angular energy discarded when the
-    nonlinearity was projected back to degrees <= L.
+    nonlinearity was projected back to degrees <= L; :func:`apply_H1` sets it
+    on the field it returns, and it is 0.0 on any other.
     """
 
-    def __init__(self, cyl, profiles, tail_fraction=0.0):
-        super().__init__(cyl, profiles)
-        self.tail_fraction = tail_fraction
-
-    @classmethod
-    def _adopt(cls, cyl, profiles, tail_fraction=0.0):
-        r = super()._adopt(cyl, profiles)
-        r.tail_fraction = tail_fraction
-        return r
+    tail_fraction = 0.0
 
 
 def apply_H1(v):
     """Residual v_ss + Delta_theta v - Lambda v + |v|^{p-2} v of a field.
 
-    The linear part runs the band matvec only in the sectors where v is not
-    identically zero, and the nonlinearity touches only degree 0 when v has no
-    angular dependence (see :func:`pointwise_map_with_tail`); then the result
-    is zero in every sector l > 0 and its ``tail_fraction`` is exactly 0.0.
+    The linear part runs the band matvec only in ``v.degrees``, and the
+    nonlinearity touches only degree 0 when v has no angular dependence (see
+    :func:`pointwise_map_with_tail`); then the result is zero in every sector
+    l > 0 and its ``tail_fraction`` is exactly 0.0.
     """
     cyl = v.cyl
     p = cyl.params.p
     out = np.zeros_like(v.profiles)
-    for l in range(cyl.L + 1):
-        if np.any(v.profiles[l]):
-            out[l] = -(cyl.sector_ops[l] @ v.profiles[l])
+    for l in v.degrees:
+        out[l] = -(cyl.sector_ops[l] @ v.profiles[l])
     nonlin, tail = pointwise_map_with_tail(v, lambda z: nonlinearity(z, p))
     if tail > TAIL_BUDGET:
         log.warning("nonlinearity shed %.2e of its angular energy (budget %e)", tail, TAIL_BUDGET)
-    return Residual._adopt(cyl, out + nonlin.profiles, tail_fraction=tail)
+    r = Residual._adopt(cyl, out + nonlin.profiles)
+    r.tail_fraction = tail
+    return r
 
 
 def linearized_apply(rho, t=0.0):
@@ -81,8 +75,8 @@ def linearized_apply(rho, t=0.0):
     cyl = rho.cyl
     p = cyl.params.p
     weight = (p - 1.0) * cyl.bubble(t) ** (p - 2.0)
-    out = np.empty_like(rho.profiles)
-    for l in range(cyl.L + 1):
+    out = np.zeros_like(rho.profiles)
+    for l in rho.degrees:
         out[l] = cyl.sector_ops[l] @ rho.profiles[l] - weight * rho.profiles[l]
     return Residual._adopt(cyl, out)
 
@@ -93,17 +87,16 @@ def riesz_solve(f):
     The sector operators are positive definite with spectrum inside
     [Lambda, 64/(12 h^2) + lam_L + Lambda], so an upper conditioning bound is
     available for free; it is reported if it ever reaches 1e12 (it sits near
-    1e5 on default grids).  Only the sectors where f is not identically zero
-    are solved, so a field with no angular dependence touches sector 0 alone.
-    Each sector's Cholesky factor is computed on the first solve in that
-    sector and reused for the life of the cylinder.
+    1e5 on default grids).  Only the sectors in ``f.degrees`` are solved, so
+    a field with no angular dependence touches sector 0 alone.  Each sector's
+    Cholesky factor is computed on the first solve in that sector and reused
+    for the life of the cylinder.
     """
     cyl = f.cyl
     _check_conditioning(cyl)
     out = np.zeros_like(f.profiles)
-    for l in range(cyl.L + 1):
-        if np.any(f.profiles[l]):
-            out[l] = cyl.sector_ops[l].cho_solve(f.profiles[l])
+    for l in f.degrees:
+        out[l] = cyl.sector_ops[l].cho_solve(f.profiles[l])
     return ZonalField._adopt(cyl, out)
 
 
@@ -111,16 +104,15 @@ def hminus1_norm(f):
     """Dual norm sqrt(<f, riesz_solve(f)>); equals the H^1 norm of the solve.
 
     Formed as sqrt(h sum_l ||U_l^{-T} f_l||^2) from each sector's stored
-    factor A_l = U_l^T U_l, over the sectors where f is not identically zero,
-    with the conditioning report of :func:`riesz_solve`.
+    factor A_l = U_l^T U_l, over the sectors in ``f.degrees``, with the
+    conditioning report of :func:`riesz_solve`.
     """
     cyl = f.cyl
     _check_conditioning(cyl)
     tot = 0.0
-    for l in range(cyl.L + 1):
-        if np.any(f.profiles[l]):
-            y = cyl.sector_ops[l].cho_half_solve(f.profiles[l])
-            tot += float(y @ y)
+    for l in f.degrees:
+        y = cyl.sector_ops[l].cho_half_solve(f.profiles[l])
+        tot += float(y @ y)
     return math.sqrt(cyl.grid.h * tot)
 
 

@@ -530,9 +530,9 @@ def _corrector(cyl):
     )
 
     # defect of the corrector equation, measured as a field
-    res = np.empty_like(eta.profiles)
+    res = np.zeros_like(eta.profiles)
     weight = (p - 1.0) * V ** (p - 2.0)
-    for l in range(cyl.L + 1):
+    for l in eta.degrees:
         res[l] = cyl.sector_ops[l] @ eta.profiles[l] - weight * eta.profiles[l]
     res_field = ZonalField._adopt(cyl, res) + (p - 2.0) * C0 * cyl.from_radial(
         V ** (p - 1.0)
@@ -642,7 +642,4 @@ def sharpness_study(cyl, mus):
 
 def _distance_to_bubble(field, t):
     """||field - V_t||, from the difference field itself."""
-    cyl = field.cyl
-    diff_prof = field.profiles.copy()
-    diff_prof[0] -= math.sqrt(sphere_area(cyl.params.n)) * cyl.bubble(t)
-    return h1_norm(ZonalField._adopt(cyl, diff_prof))
+    return h1_norm(field - field.cyl.bubble_field(t))

@@ -78,6 +78,16 @@ def test_bad_range_rejected(capsys, token):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("gap", ["nan", "inf", "0", "-2"])
+def test_bad_gap_rejected(capsys, gap):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["interactions", "--n", "3", "--p", "4", "--gaps", "5", gap])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --gaps: must be finite and positive" in err
+    assert "Traceback" not in err
+
+
 def test_n2_sweep_cap():
     with pytest.raises(SystemExit) as exc:
         cli.main(["constants", "--n", "2", "--p", "13"])

@@ -84,6 +84,23 @@ def test_theta_power_coeffs_exact_zeros(n, k):
     np.testing.assert_allclose(got[~zero], full[~zero], rtol=0.0, atol=1e-15)
 
 
+def test_degrees_of_constructed_fields(cyl34):
+    assert cyl34.from_radial(cyl34.bubble()).degrees == [0]
+    for k in range(4):
+        want = [l for l in range(k + 1) if (k - l) % 2 == 0]
+        assert cyl34.from_theta_power(cyl34.bubble(), k).degrees == want
+    f = cyl34.from_theta_power(cyl34.bubble(), 2)
+    assert (f - f).degrees == []
+    assert ck.apply_H1(cyl34.bubble_field()).degrees == [0]
+
+
+@pytest.mark.parametrize("l", [0, 3, 8])
+def test_degrees_of_caller_array(cyl34, l):
+    prof = np.zeros((cyl34.L + 1, cyl34.grid.N))
+    prof[l, 17] = 1e-300
+    assert cyl34.field(prof).degrees == [l]
+
+
 def test_h1_norm_of_bubble_equals_lp_mass(par34, cyl34):
     f = cyl34.bubble_field()
     lhs = ck.h1_inner(f, f)

@@ -158,7 +158,7 @@ def test_dual_norm_rejects_nan(cyl34):
     prof = np.zeros((cyl34.L + 1, cyl34.grid.N))
     prof[1, 9] = np.nan  # no field holds NaN, so pass the profiles on their own
     with pytest.raises(ValueError, match="finite"):
-        ck.hminus1_norm(SimpleNamespace(cyl=cyl34, profiles=prof))
+        ck.hminus1_norm(SimpleNamespace(cyl=cyl34, profiles=prof, degrees=[1]))
 
 
 @pytest.mark.parametrize("eps_pair", [(1e-3, 1e-4)])
