@@ -26,6 +26,7 @@ from .multibubble import (
     interaction_derivative,
     moduli,
     weight_profiles,
+    window_cylinder,
 )
 from .operators import (
     Residual,

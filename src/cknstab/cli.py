@@ -100,6 +100,7 @@ def build_parser():
         sp = sub.add_parser(name, allow_abbrev=False)
         for flag in flags:
             sp.add_argument(flag, **FLAGS[flag])
+        sp.set_defaults(usage_error=sp.error)  # checks made after parsing print its usage
     return ap
 
 
@@ -135,30 +136,31 @@ def resolve_config(argv=None):
         try:
             flags = _config_flags(args.config)
         except (OSError, ValueError) as exc:
-            ap.error(str(exc))
+            args.usage_error(str(exc))
         # argv[0] is the command: the top-level parser takes nothing else
         args = ap.parse_args([args.command, *flags, *argv[1:]])
     cfg = vars(args)
+    error = cfg.pop("usage_error")
     if cfg.get("seed", 0) < 0:
-        ap.error(f"argument --seed: must be non-negative, got {cfg['seed']}")
+        error(f"argument --seed: must be non-negative, got {cfg['seed']}")
     if not 1 <= cfg.get("L", 1) <= L_CAP:
-        ap.error(f"argument --L: must satisfy 1 <= L <= {L_CAP}, got {cfg['L']}")
+        error(f"argument --L: must satisfy 1 <= L <= {L_CAP}, got {cfg['L']}")
     for gap in cfg.get("gaps", ()):
         if not 0.0 < gap < math.inf:
-            ap.error(f"argument --gaps: must be finite and positive, got {gap}")
+            error(f"argument --gaps: must be finite and positive, got {gap}")
     if "p" not in cfg:
         return cfg
     try:
         cfg["p"] = _parse_values(cfg["p"])
     except ValueError as exc:
-        ap.error(f"argument --p: {exc}")
+        error(f"argument --p: {exc}")
     pairs = []
     for n in cfg["n"]:
         for p in cfg["p"]:
             if n < 2 or not 2.0 < p < two_star(n):
-                ap.error(f"inadmissible pair (p, n) = ({p}, {n})")
+                error(f"inadmissible pair (p, n) = ({p}, {n})")
             if n == 2 and p > N2_P_CAP:
-                ap.error(f"n = 2 sweeps are capped at p <= {N2_P_CAP}")
+                error(f"n = 2 sweeps are capped at p <= {N2_P_CAP}")
             pairs.append((p, n))
     cfg["pairs"] = pairs
     return cfg
@@ -309,21 +311,21 @@ def cmd_interactions(cfg):
         rl = par.sqrt_lam
         for rel_gap in cfg["gaps"]:
             gap = rel_gap / rl
-            v1 = mb.interaction(par, 0.0, gap, 1.0, p - 1.0)
-            pred1 = math.exp(-rl * gap)
-            v2 = mb.interaction(par, 0.0, gap, p / 2.0, p / 2.0)
-            pred2 = (gap + 1.0) * math.exp(-p * rl / 2.0 * gap)
-            v3 = mb.interaction_derivative(par, 0.0, gap)
-            pred3 = math.exp(-rl * gap)
-            cfg2 = mb.BubbleConfig(params=par, centers=(-gap / 2, gap / 2))
-            diag = mb.bubble_sum_residual(cfg2)
-            for kind, val, pred in (
-                ("pair_min_exponent", v1, pred1),
-                ("pair_balanced", v2, pred2),
-                ("derivative", v3, pred3),
+            t = (-gap / 2, gap / 2)
+            cyl = mb.window_cylinder(par, t)
+            diag = mb.bubble_sum_residual(cyl, t)
+            cells = [
+                ("pair_min_exponent", mb.interaction(cyl, *t, 1.0, p - 1.0), math.exp(-rl * gap)),
+                ("pair_balanced", mb.interaction(cyl, *t, p / 2.0, p / 2.0),
+                 (gap + 1.0) * math.exp(-p * rl / 2.0 * gap)),
+                ("derivative", mb.interaction_derivative(cyl, *t), math.exp(-rl * gap)),
                 ("sum_residual", diag.residual, diag.Q),
                 (f"gap_norm_W{diag.norm_index}", diag.nonlinear_gap_norm, 1.0),
-            ):
+            ]
+            for kind, val, pred in cells:  # a gap that overflows or underflows is one error row
+                if not (math.isfinite(val) and math.isfinite(pred) and pred != 0.0):
+                    raise ArithmeticError(f"{kind} at gap {gap!r}: {val!r} vs {pred!r}")
+            for kind, val, pred in cells:
                 yield {"n": n, "p": p, "kind": kind, "gap": gap, "value": val,
                        "predicted": pred, "ratio": val / pred, "error": ""}
 

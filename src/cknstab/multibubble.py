@@ -16,10 +16,10 @@ import numpy as np
 
 from .cylinder import Cylinder, Grid, decay_half_width, sphere_area
 from .operators import apply_H1, hminus1_norm
-from .params import bubble_profile, bubble_profile_ds
 
 __all__ = [
     "BubbleConfig",
+    "window_cylinder",
     "interaction",
     "interaction_derivative",
     "moduli",
@@ -72,46 +72,48 @@ class BubbleConfig:
         )
 
 
-def _pair_axis(params, t1, t2):
-    """Axis of spacing at most 0.005 covering both centers and their margins."""
+def window_cylinder(params, centers):
+    """The one cylinder the window functions below read for these centers: L = 1,
+    spacing at most 0.01 on an odd N >= 4097, and half-width past every center
+    by (MARGIN + 2)/sqrt(Lam) and at least ``decay_half_width``.  Refuses
+    centers, or a span between them, beyond MAX_CENTER/sqrt(Lam)."""
     scale = 1.0 / params.sqrt_lam
-    if max(abs(t1), abs(t2)) > MAX_CENTER * scale:
-        raise ValueError(
-            f"centers exceed the extensible range {MAX_CENTER * scale:.1f}"
-        )
-    lo = min(t1, t2) - MARGIN * scale
-    hi = max(t1, t2) + MARGIN * scale
-    m = int(math.ceil((hi - lo) / 0.005))
-    s = np.linspace(lo, hi, m + 1)
-    return s, (hi - lo) / m
+    lo, hi = min(centers), max(centers)
+    if max(hi - lo, -lo, hi) > MAX_CENTER * scale:
+        raise ValueError(f"centers exceed the extensible range {MAX_CENTER * scale:.1f}")
+    S = max(max(-lo, hi) + (MARGIN + 2.0) * scale, decay_half_width(params))
+    N = 2 * int(math.ceil(S / 0.01)) + 1
+    return Cylinder(params, grid=Grid(S=S, N=max(N, 4097)), L=1)
 
 
-def _trapz(vals, h):
-    return h * (float(np.sum(vals)) - 0.5 * (vals[0] + vals[-1]))
+def _check_inside(cyl, centers):
+    """Refuse centers closer than MARGIN/sqrt(Lam) to the grid's end, which would
+    cut their bubbles off."""
+    reach = cyl.grid.S - MARGIN / cyl.params.sqrt_lam
+    if not all(abs(t) <= reach for t in centers):
+        raise ValueError(f"centers {tuple(centers)} exceed the grid's reach {reach:.1f}")
 
 
-def interaction(params, t1, t2, q1, q2):
+def interaction(cyl, t1, t2, q1, q2):
     """int over the cylinder of V_{t1}^{q1} V_{t2}^{q2}; needs q1 + q2 = p."""
+    par = cyl.params
     if q1 < 0 or q2 < 0:
         raise ValueError("exponents must be nonnegative")
-    if abs(q1 + q2 - params.p) > 1e-12:
-        raise ValueError(f"exponents must sum to p = {params.p}")
-    s, h = _pair_axis(params, t1, t2)
-    vals = bubble_profile(params, s, t1) ** q1 * bubble_profile(params, s, t2) ** q2
-    return sphere_area(params.n) * _trapz(vals, h)
+    if abs(q1 + q2 - par.p) > 1e-12:
+        raise ValueError(f"exponents must sum to p = {par.p}")
+    _check_inside(cyl, (t1, t2))
+    return sphere_area(par.n) * cyl.quad_s(cyl.bubble(t1) ** q1 * cyl.bubble(t2) ** q2)
 
 
-def interaction_derivative(params, t1, t2):
+def interaction_derivative(cyl, t1, t2):
     """int over the cylinder of V_{t1}^{p-1} ds V_{t2}.
 
     Positive when t1 < t2; for well-separated centers it tracks
     exp(sqrt(Lambda) (t1 - t2)).
     """
-    s, h = _pair_axis(params, t1, t2)
-    vals = bubble_profile(params, s, t1) ** (params.p - 1.0) * bubble_profile_ds(
-        params, s, t2
-    )
-    return sphere_area(params.n) * _trapz(vals, h)
+    _check_inside(cyl, (t1, t2))
+    vals = cyl.bubble(t1) ** (cyl.params.p - 1.0) * cyl.bubble_ds(t2)
+    return sphere_area(cyl.params.n) * cyl.quad_s(vals)
 
 
 def moduli(kind, p, x, nu=2):
@@ -165,23 +167,20 @@ def weight_profiles(config, s):
     s = np.asarray(s, dtype=float)
     phi = [np.exp(-rl * np.abs(s - ti)) for ti in t]
 
-    W1 = np.zeros_like(s)
-    W3 = np.zeros_like(s)
-    for i in range(nu - 1):
-        Qn = config.Q_pair(i, i + 1)
-        mid = 0.5 * (t[i] + t[i + 1])
-        W1 += Qn * phi[i] ** (p - 3.0) * ((t[i] + 1 <= s) & (s <= mid))
-        W1 += Qn * phi[i + 1] ** (p - 3.0) * ((mid <= s) & (s <= t[i + 1] - 1))
-        W3 += Qn * phi[i] ** (p - 3.0) * ((t[i] + 2 <= s) & (s <= mid))
-        W3 += Qn * phi[i + 1] ** (p - 3.0) * ((mid <= s) & (s <= t[i + 1] - 2))
-    W1 += config.Q_pair(nu - 2, nu - 1) * phi[-1] ** (1 - zeta) * (s >= t[-1] + 1)
-    W1 += config.Q_pair(0, 1) * phi[0] ** (1 - zeta) * (s <= t[0] - 1)
-    W3 += config.Q_pair(nu - 2, nu - 1) * phi[-1] ** (1 - zeta) * (s >= t[-1] + 2)
-    W3 += config.Q_pair(0, 1) * phi[0] ** (1 - zeta) * (s <= t[0] - 2)
-    for i in range(nu):
-        W1 += Q * ((t[i] - 1 <= s) & (s <= t[i] + 1))
-        W3 += Q * ((t[i] - 2 <= s) & (s <= t[i] + 2))
+    def windowed(d):  # W1 keeps distance d = 1 from the centers, W3 keeps d = 2
+        W = np.zeros_like(s)
+        for i in range(nu - 1):
+            Qn = config.Q_pair(i, i + 1)
+            mid = 0.5 * (t[i] + t[i + 1])
+            W += Qn * phi[i] ** (p - 3.0) * ((t[i] + d <= s) & (s <= mid))
+            W += Qn * phi[i + 1] ** (p - 3.0) * ((mid <= s) & (s <= t[i + 1] - d))
+        W += config.Q_pair(nu - 2, nu - 1) * phi[-1] ** (1 - zeta) * (s >= t[-1] + d)
+        W += config.Q_pair(0, 1) * phi[0] ** (1 - zeta) * (s <= t[0] - d)
+        for ti in t:
+            W += Q * ((ti - d <= s) & (s <= ti + d))
+        return W
 
+    W1, W3 = windowed(1), windowed(2)
     W2 = np.zeros_like(s)
     edges = [-np.inf] + [0.5 * (a + b) for a, b in zip(t, t[1:])] + [np.inf]
     for i in range(nu):
@@ -205,33 +204,21 @@ class MultiBubbleDiagnostics:
     norm_index: int             # 1 for 2 < p < 4, 2 for p >= 4
 
 
-def bubble_sum_residual(config):
-    """Dual-norm residual of sigma = sum_i V_{t_i} plus weighted-gap norms.
-
-    Builds a symmetric grid of spacing at most 0.01, wide enough to cover
-    every center with the usual decay margin, evaluates the residual of the bubble sum, and measures
-    sigma^{p-1} - sum_i V_{t_i}^{p-1} in the weighted sup-norm matching the
-    exponent branch (W1 for 2 < p < 4, W2 for p >= 4).
+def bubble_sum_residual(cyl, centers):
+    """Dual-norm residual of sigma = sum_i V_{t_i} on the caller's cylinder (see
+    :func:`window_cylinder`), and sigma^{p-1} - sum_i V_{t_i}^{p-1} in the
+    weighted sup-norm of the exponent branch (W1 for 2 < p < 4, W2 for p >= 4).
     """
-    par = config.params
-    p = par.p
-    scale = 1.0 / par.sqrt_lam
-    S = max(abs(config.centers[0]), abs(config.centers[-1])) + (MARGIN + 2.0) * scale
-    S = max(S, decay_half_width(par))
-    N = int(math.ceil(2.0 * S / 0.01)) + 1
-    if N % 2 == 0:
-        N += 1
-    # sigma is radial and only sector 0 is read, so the smallest angular rule will do
-    cyl = Cylinder(par, grid=Grid(S=S, N=max(N, 4097)), L=1)
-
-    s = cyl.grid.s
-    profs = [bubble_profile(par, s, t) for t in config.centers]
+    config = BubbleConfig(params=cyl.params, centers=centers)
+    _check_inside(cyl, config.centers)
+    p = cyl.params.p
+    profs = [cyl.bubble(t) for t in config.centers]
     sigma = np.sum(profs, axis=0)
     res = hminus1_norm(apply_H1(cyl.from_radial(sigma)))
 
     gap_fn = sigma ** (p - 1.0) - np.sum([v ** (p - 1.0) for v in profs], axis=0)
     if config.nu >= 2:
-        W1, W2, _ = weight_profiles(config, s)
+        W1, W2, _ = weight_profiles(config, cyl.grid.s)
         if p >= 4.0:
             norm_index, gap_norm = 2, _weighted_sup(gap_fn, W2)
         else:

@@ -153,14 +153,15 @@ def test_07_interaction_windows():
     p = par.p
     r1, r2, r3, rq, rw = [], [], [], [], []
     for g in gaps:
-        r1.append(ck.interaction(par, 0.0, g, 1.0, p - 1.0) / math.exp(-rl * g))
-        r2.append(ck.interaction(par, 0.0, g, p / 2, p / 2)
+        t1, t2 = -g / 2.0, g / 2.0
+        cyl = ck.window_cylinder(par, (t1, t2))
+        r1.append(ck.interaction(cyl, t1, t2, 1.0, p - 1.0) / math.exp(-rl * g))
+        r2.append(ck.interaction(cyl, t1, t2, p / 2, p / 2)
                   / ((g + 1.0) * math.exp(-p * rl / 2.0 * g)))
-        val = ck.interaction_derivative(par, 0.0, g)
+        val = ck.interaction_derivative(cyl, t1, t2)
         assert val > 0
         r3.append(val / math.exp(-rl * g))
-        cfg = ck.BubbleConfig(params=par, centers=(-g / 2.0, g / 2.0))
-        diag = ck.bubble_sum_residual(cfg)
+        diag = ck.bubble_sum_residual(cyl, (t1, t2))
         rq.append(diag.residual_over_Q)
         rw.append(diag.nonlinear_gap_norm)
     factors = [max(r) / min(r) for r in (r1, r2, r3, rq, rw)]

@@ -88,6 +88,14 @@ def test_bad_gap_rejected(capsys, gap):
     assert "Traceback" not in err
 
 
+def test_post_parse_check_prints_the_command_usage(capsys):
+    # a check made after parsing reports like argparse's own errors do
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["interactions", "--gaps", "nan"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: cknstab interactions")
+
+
 def test_n2_sweep_cap():
     with pytest.raises(SystemExit) as exc:
         cli.main(["constants", "--n", "2", "--p", "13"])
@@ -241,6 +249,22 @@ def test_failed_point_row(tmp_path, capsys, argv, clean_kinds, cells):
     assert all(r["error"] == "" for r in clean)
     assert failed.pop("error").startswith("ValueError: ")
     assert failed == {"n": 3, "p": 4.0, **cells}
+
+
+@pytest.mark.parametrize("n, p, gap, kind", [
+    ("3", "4", "400", "pair_balanced"),        # the interaction underflows to 0.0
+    ("5", "2.0133", "4", "pair_min_exponent"),  # the bubble's powers overflow
+])
+def test_nonfinite_window_is_an_error_row(tmp_path, capsys, n, p, gap, kind):
+    out = tmp_path / "w.json"
+    with np.errstate(all="ignore"):
+        status = cli.main(["interactions", "--n", n, "--p", p, "--gaps", gap,
+                           "--format", "json", "--out", str(out)])
+    assert status == 3
+    [row] = json.loads(out.read_text())["rows"]
+    assert row["kind"] == "error"
+    assert row["error"].startswith(f"ArithmeticError: {kind} at gap ")
+    assert capsys.readouterr().err == "cknstab: 1 of 1 rows carry an error\n"
 
 
 def test_selftest_exits_clean(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cknstab as ck
+from cknstab import multibubble as mb
 from cknstab._oracles import bubble_mass_exact
 
 
@@ -27,31 +28,45 @@ def test_pair_scales_bounded_by_Q(par34):
 
 
 def test_interaction_coincident_centers(par34):
-    got = ck.interaction(par34, 0.7, 0.7, 1.5, par34.p - 1.5)
+    cyl = ck.window_cylinder(par34, (0.7, 0.7))
+    got = ck.interaction(cyl, 0.7, 0.7, 1.5, par34.p - 1.5)
     exact = bubble_mass_exact(par34, par34.p) * ck.sphere_area(3)
     assert got == pytest.approx(exact, rel=1e-9)
 
 
+@pytest.mark.parametrize("n, p", [(3, 4.0), (3, 2.05), (4, 2.02)])
+def test_interaction_closed_form_near_p2(n, p):
+    # near p = 2 the bubble decays past 30/sqrt(Lam), so the window must reach
+    # the decay half-width, not only the centers' margin
+    par = ck.from_pn(p, n)
+    got = ck.interaction(ck.window_cylinder(par, (0.7, 0.7)), 0.7, 0.7, 1.5, p - 1.5)
+    exact = bubble_mass_exact(par, p) * ck.sphere_area(n)
+    assert got == pytest.approx(exact, rel=1e-12)
+
+
 def test_interaction_symmetry(par34):
-    a = ck.interaction(par34, -1.0, 4.0, 1.0, 3.0)
-    b = ck.interaction(par34, 4.0, -1.0, 3.0, 1.0)
+    cyl = ck.window_cylinder(par34, (-1.0, 4.0))
+    a = ck.interaction(cyl, -1.0, 4.0, 1.0, 3.0)
+    b = ck.interaction(cyl, 4.0, -1.0, 3.0, 1.0)
     assert a == b
 
 
 def test_interaction_validation(par34):
+    cyl = ck.window_cylinder(par34, (0.0, 1.0))
     with pytest.raises(ValueError):
-        ck.interaction(par34, 0.0, 1.0, -0.5, par34.p + 0.5)
+        ck.interaction(cyl, 0.0, 1.0, -0.5, par34.p + 0.5)
     with pytest.raises(ValueError):
-        ck.interaction(par34, 0.0, 1.0, 1.0, 1.0)  # does not sum to p
+        ck.interaction(cyl, 0.0, 1.0, 1.0, 1.0)  # does not sum to p
     with pytest.raises(ValueError):
-        ck.interaction(par34, 0.0, 1e6, 1.0, par34.p - 1.0)
+        ck.window_cylinder(par34, (0.0, 1e6))
 
 
 def test_interaction_min_exponent_window(par34):
     rl = par34.sqrt_lam
     gaps = np.linspace(4.0 / rl, 12.0 / rl, 6)
     ratios = [
-        ck.interaction(par34, 0.0, g, 1.0, par34.p - 1.0) / math.exp(-rl * g)
+        ck.interaction(ck.window_cylinder(par34, (0.0, g)), 0.0, g, 1.0, par34.p - 1.0)
+        / math.exp(-rl * g)
         for g in gaps
     ]
     assert max(ratios) / min(ratios) <= 10.0
@@ -62,7 +77,7 @@ def test_interaction_balanced_window(par34):
     p = par34.p
     gaps = np.linspace(4.0 / rl, 12.0 / rl, 6)
     ratios = [
-        ck.interaction(par34, 0.0, g, p / 2.0, p / 2.0)
+        ck.interaction(ck.window_cylinder(par34, (0.0, g)), 0.0, g, p / 2.0, p / 2.0)
         / ((g + 1.0) * math.exp(-p * rl / 2.0 * g))
         for g in gaps
     ]
@@ -74,15 +89,16 @@ def test_interaction_derivative_sign_and_window(par34):
     gaps = np.linspace(4.0 / rl, 12.0 / rl, 6)
     ratios = []
     for g in gaps:
-        val = ck.interaction_derivative(par34, 0.0, g)
+        val = ck.interaction_derivative(ck.window_cylinder(par34, (0.0, g)), 0.0, g)
         assert val > 0
         ratios.append(val / math.exp(-rl * g))
     assert max(ratios) / min(ratios) <= 10.0
 
 
 def test_interaction_derivative_reflection_antisymmetry(par34):
-    a = ck.interaction_derivative(par34, 0.0, 6.0)
-    b = ck.interaction_derivative(par34, 6.0, 0.0)
+    cyl = ck.window_cylinder(par34, (0.0, 6.0))
+    a = ck.interaction_derivative(cyl, 0.0, 6.0)
+    b = ck.interaction_derivative(cyl, 6.0, 0.0)
     assert a == pytest.approx(-b, rel=1e-12)
 
 
@@ -140,20 +156,43 @@ def test_weights_positive_and_monotone(par34):
 
 
 def test_single_bubble_residual_floor(par34):
-    cfg = ck.BubbleConfig(params=par34, centers=(0.0,))
-    diag = ck.bubble_sum_residual(cfg)
+    diag = ck.bubble_sum_residual(ck.window_cylinder(par34, (0.0,)), (0.0,))
     assert diag.residual <= 1e-6
     assert diag.Q == 0.0
 
 
 def test_two_bubble_diagnostics(par34):
     gap = 8.0 / par34.sqrt_lam
-    cfg = ck.BubbleConfig(params=par34, centers=(-gap / 2.0, gap / 2.0))
-    diag = ck.bubble_sum_residual(cfg)
+    centers = (-gap / 2.0, gap / 2.0)
+    diag = ck.bubble_sum_residual(ck.window_cylinder(par34, centers), centers)
     assert diag.norm_index == 2  # p = 4 branch
     assert 0.0 < diag.residual
     assert diag.residual_over_Q > 0.0
     assert math.isfinite(diag.nonlinear_gap_norm)
+
+
+def test_window_functions_refuse_a_narrow_grid(par34):
+    # a caller's grid that ends within the margin of a center would cut its
+    # bubble off, so each window function refuses it
+    rl = par34.sqrt_lam
+    cyl = ck.window_cylinder(par34, (0.0,))  # reaches 2/sqrt(Lam) past the margin
+    assert cyl.grid.S == pytest.approx((mb.MARGIN + 2.0) / rl)
+    far = 3.0 / rl
+    with pytest.raises(ValueError, match="reach"):
+        ck.interaction(cyl, 0.0, far, 1.0, par34.p - 1.0)
+    with pytest.raises(ValueError, match="reach"):
+        ck.interaction_derivative(cyl, -far, 0.0)
+    with pytest.raises(ValueError, match="reach"):
+        ck.bubble_sum_residual(cyl, (0.0, far))
+    assert ck.interaction(cyl, 0.0, 1.0 / rl, 1.0, par34.p - 1.0) > 0.0
+
+
+def test_window_refuses_a_wide_span(par34):
+    # centered windows halve the reach, so the span is bounded as well
+    half = 0.3 * mb.MAX_CENTER / par34.sqrt_lam
+    with pytest.raises(ValueError, match="extensible range"):
+        ck.window_cylinder(par34, (-2.0 * half, 2.0 * half))
+    assert ck.window_cylinder(par34, (-half, half)).grid.S > half
 
 
 def test_smallest_rule_keeps_radial_residual(par34):

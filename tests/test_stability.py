@@ -101,6 +101,17 @@ def _polish_family():
         yield r, f, ((a, b) if rng.random() < 0.5 else (b, a))
 
 
+def test_nearest_bubble_root_on_a_scan_node():
+    # at the node t = 0 the scan reads g = -0.475 and the exact pairing +0.299,
+    # both roundoff beside neighbours of 8e15: the bracket's exact ends share
+    # a sign, and the node itself is the root
+    cyl = ck.Cylinder(ck.from_pn(2.2, 6), refine=2)
+    fit = ck.nearest_bubble(cyl.bubble_field())
+    assert fit.t_star == 0.0
+    assert fit.distance == 0.0
+    assert fit.stationarity <= 1e-15
+
+
 def test_newton_polish_family():
     for r, f, (a, b) in _polish_family():
         x = stability._newton_polish(f, a, b)
