@@ -24,6 +24,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -211,15 +212,21 @@ def _sweep(cfg, columns, point_rows, **error_cells):
 
     A point that raises keeps the rows it yielded before and adds one row with
     ``error_cells`` and the ``error`` column filled; the sweep goes on.  The
-    status is 3 when any row carries an error (summarized on stderr), else 0.
+    warnings a point raises are shown once it succeeds and dropped when it
+    fails, since its error row gives the reason.  The status is 3 when any
+    row carries an error (summarized on stderr), else 0.
     """
     rows = []
     for p, n in cfg["pairs"]:
-        try:
-            rows.extend(point_rows(p, n))
-        except Exception as exc:  # keep the sweep alive, record the failure
-            rows.append({"n": n, "p": p, **error_cells,
-                         "error": f"{type(exc).__name__}: {exc}"})
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                rows.extend(point_rows(p, n))
+            except Exception as exc:  # keep the sweep alive, record the failure
+                rows.append({"n": n, "p": p, **error_cells,
+                             "error": f"{type(exc).__name__}: {exc}"})
+                caught.clear()
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
     emit(cfg, columns, rows, _meta(cfg))
     failed = sum(1 for r in rows if r["error"])
     if not failed:
@@ -394,7 +401,8 @@ def _selftest_checks(cfg):
         return worst <= 1e-12, f"max rel err {worst:.2e} via {_lapack.backend()}"
 
     def lanczos_check():
-        # at n <= 20 the Krylov basis spans R^n, so the Ritz values are the eigenvalues
+        # at n = 20 the Lanczos stops with its three Ritz values converged to
+        # KRYLOV_TOL, or spans R^n at 20 steps, where they are the eigenvalues
         band = random_band(20)
         b = rng.uniform(0.1, 1.0, band.n)
         got = spec_mod._lanczos(band, b, 3)[0]

@@ -9,6 +9,8 @@ import pytest
 import cknstab as ck
 from cknstab import _lapack, cli
 from cknstab import spectrum as spec_mod
+from cknstab._discrete import Band
+from cknstab._oracles import solvable_gamma
 
 
 def run_cli(args):
@@ -147,15 +149,17 @@ def test_spectrum_solves_each_sector_once(tmp_path, monkeypatch):
     solve = spec_mod.eigensolve_sector
     calls = []
 
-    def counted(cyl, ell, k=3):
-        calls.append((ell, k))
-        return solve(cyl, ell, k=k)
+    def counted(cyl, ell, k=3, parities=spec_mod.PARITIES):
+        calls.extend((ell, parity) for parity in parities)
+        return solve(cyl, ell, k=k, parities=parities)
 
     monkeypatch.setattr(spec_mod, "eigensolve_sector", counted)
     out = tmp_path / "s.json"
     assert cli.main(["spectrum", "--n", "3", "--p", "4", "--format", "json",
                      "--out", str(out)]) == 0
-    assert calls == [(0, 3), (1, 2), (2, 1)]  # the rows reuse the gap's walk
+    # the odd minimum of sector 1 is the gap level itself, so sector 2 solves
+    # its even pencil alone; the rows reuse the gap's walk
+    assert calls == [(0, "even"), (0, "odd"), (1, "even"), (1, "odd"), (2, "even")]
     rows = json.loads(out.read_text())["rows"]
     cyl = ck.Cylinder(ck.from_pn(4.0, 3))
     for ell, k in ((0, 3), (1, 2)):
@@ -164,6 +168,59 @@ def test_spectrum_solves_each_sector_once(tmp_path, monkeypatch):
                   for i, (g, r) in enumerate(zip(spec.eigenvalues, spec.residuals))]
         assert [(r["index"], r["gamma"], r["residual"])
                 for r in rows if r["ell"] == ell] == expect
+
+
+def test_spectrum_solve_count(monkeypatch):
+    # 6 Lanczos runs of 20 steps took 120 solves; the walk skips the odd
+    # sector-2 run, and each run stops once its pairs have converged
+    solve = Band.cho_solve
+    count = [0]
+
+    def counted(self, b):
+        count[0] += 1
+        return solve(self, b)
+
+    monkeypatch.setattr(Band, "cho_solve", counted)
+    assert cli.main(["spectrum", "--n", "3", "--p", "4", "--out", "-"]) == 0
+    assert 0 < count[0] < 100
+
+
+@pytest.mark.parametrize("n, p", [(2, 2.05), (3, 2.05), (6, 2.01)])
+def test_spectrum_near_p2_matches_closed_forms(tmp_path, n, p):
+    # the levels crowd with spacing about p - 2 here, and a fixed 20-step
+    # Lanczos left residuals above the bound on the gamma = 1 pairs
+    out = tmp_path / "s.json"
+    assert cli.main(["spectrum", "--n", str(n), "--p", str(p), "--format", "json",
+                     "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert all(r["error"] == "" for r in rows)
+    gamma = {(r["ell"], r["index"]): r["gamma"] for r in rows}
+    par = ck.from_pn(p, n)
+    closed = {(0, 0): 1.0, (0, 1): p - 1.0, (1, 0): p - 1.0,
+              ("all", "gamma3"): (p - 1.0) * (3.0 * p - 4.0) / p}
+    for key, want in closed.items():
+        ell, j = (0, 2) if key[0] == "all" else key
+        assert solvable_gamma(par, ell, j) == pytest.approx(want, rel=1e-12)
+        assert gamma[key] == pytest.approx(want, rel=1e-9)
+
+
+def test_failed_point_warnings_stay_off_stderr():
+    # the bubble's powers overflow here; the error row carries the reason
+    proc = run_cli(["interactions", "--n", "5", "--p", "2.0133", "--gaps", "4",
+                    "--out", "-"])
+    assert proc.returncode == 3
+    assert proc.stderr == "cknstab: 1 of 1 rows carry an error\n"
+
+
+def test_clean_point_warnings_reach_stderr():
+    code = ("import warnings; from cknstab import cli, spectrum as s; walk = s.sector_walk; "
+            "s.sector_walk = lambda cyl: (warnings.warn('probe', RuntimeWarning), walk(cyl))[1]; "
+            "raise SystemExit(cli.main(['spectrum', '--n', '3', '--p', '4', '--out', '-']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0
+    assert "RuntimeWarning: probe" in proc.stderr
+    assert "rows carry an error" not in proc.stderr
 
 
 def test_constants_json_meta(tmp_path):

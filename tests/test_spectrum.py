@@ -5,21 +5,9 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 import cknstab as ck
 from cknstab import spectrum
 from cknstab._discrete import Band, fold, fold_weights, unfold
+from cknstab._oracles import solvable_gamma
 
 REFERENCE_POINTS = [(3, 4.0), (2, 4.0), (3, 3.0), (4, 3.0)]  # (n, p)
-
-
-def solvable_gamma(par, ell, j):
-    """Independent eigenvalue oracle for the sech^2 pencil.
-
-    The weight is (p Lam / 2) sech^2(alpha s), so the j-th sector eigenvalue
-    follows from the classical bound-state count: with
-    nu = j + sqrt(l(l+n-2) + Lam)/alpha one gets
-    gamma = (p-2)^2 nu (nu+1) / (2p).
-    """
-    lam_ell = ell * (ell + par.n - 2)
-    nu = j + np.sqrt(lam_ell + par.Lam) / par.alpha
-    return (par.p - 2.0) ** 2 * nu * (nu + 1.0) / (2.0 * par.p)
 
 
 def cosine_similarity(a, b):
