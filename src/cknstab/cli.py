@@ -15,6 +15,8 @@ reads as the flag ``--key value`` placed before the command line, so explicit
 flags win, and a key for a flag the command does not take is a usage error.
 A sweep keeps the rows of points that failed, with their ``error`` column
 filled, and then exits with status 3.
+``sharpness`` builds its grid at ``stability.STUDY_REFINE``, and once more at
+twice that where the corrector defect exceeds ``stability.CORRECTOR_BOUND``.
 """
 
 import argparse
@@ -35,7 +37,7 @@ from . import spectrum as spec_mod
 from . import stability as stab
 from ._discrete import Band
 from ._oracles import bubble_mass_exact, plane_bubble, sphere_moment_beta
-from .cylinder import Cylinder, Grid, sphere_moment
+from .cylinder import Cylinder, sphere_moment
 from .operators import apply_H1, hminus1_norm, riesz_solve
 from .params import bubble_profile, emden_fowler, from_pn, two_star
 
@@ -69,8 +71,6 @@ FLAGS = {
     "--config": dict(help="flat key=value file; flags override"),
     "--n": dict(nargs="*", type=int, default=(3,)),
     "--p": dict(nargs="*", default=("4.0",), help="values or a:b:step ranges"),
-    "--grid-N": dict(dest="grid_N", type=int),
-    "--grid-S": dict(dest="grid_S", type=float),
     "--L": dict(type=int, default=cyl_mod.DEFAULT_L),
     "--mu": dict(nargs="*", type=float, default=tuple(np.geomspace(1e-3, 3e-2, 7))),
     "--gaps": dict(nargs="*", type=float, default=tuple(np.linspace(4.0, 12.0, 9)),
@@ -79,13 +79,12 @@ FLAGS = {
     "--format": dict(dest="fmt", choices=("csv", "json"), default="csv"),
     "--seed": dict(type=int, default=0),
 }
-_GRID = ("--n", "--p", "--grid-N", "--grid-S")
 _OUT = ("--out", "--format")
 # the flags each command reads, and no others
 COMMAND_FLAGS = {
-    "constants": ("--config", *_GRID, *_OUT),
-    "spectrum": ("--config", *_GRID, *_OUT),
-    "sharpness": ("--config", *_GRID, "--L", "--mu", *_OUT),
+    "constants": ("--config", "--n", "--p", *_OUT),
+    "spectrum": ("--config", "--n", "--p", *_OUT),
+    "sharpness": ("--config", "--n", "--p", "--L", "--mu", *_OUT),
     "interactions": ("--config", "--n", "--p", "--gaps", *_OUT),
     "selftest": ("--config", "--seed", *_OUT),
 }
@@ -116,7 +115,7 @@ def _config_flags(path):
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw!r}")
             key, val = (x.strip() for x in line.split("=", 1))
-            key = "format" if key == "fmt" else key.replace("_", "-")
+            key = "format" if key == "fmt" else key
             if key == "config":
                 raise ValueError("config files do not nest")
             flags += [f"--{key}", *val.split()]
@@ -144,8 +143,8 @@ def resolve_config(argv=None):
     error = cfg.pop("usage_error")
     if cfg.get("seed", 0) < 0:
         error(f"argument --seed: must be non-negative, got {cfg['seed']}")
-    if not 1 <= cfg.get("L", 1) <= L_CAP:
-        error(f"argument --L: must satisfy 1 <= L <= {L_CAP}, got {cfg['L']}")
+    if "L" in cfg and not stab.STUDY_MIN_L <= cfg["L"] <= L_CAP:
+        error(f"argument --L: must satisfy {stab.STUDY_MIN_L} <= L <= {L_CAP}, got {cfg['L']}")
     for gap in cfg.get("gaps", ()):
         if not 0.0 < gap < math.inf:
             error(f"argument --gaps: must be finite and positive, got {gap}")
@@ -165,13 +164,6 @@ def resolve_config(argv=None):
             pairs.append((p, n))
     cfg["pairs"] = pairs
     return cfg
-
-
-def _make_cylinder(cfg, params, L, refine=1):
-    base = cyl_mod.default_grid(params, refine)
-    grid = Grid(S=base.S if cfg["grid_S"] is None else cfg["grid_S"],
-                N=base.N if cfg["grid_N"] is None else cfg["grid_N"])
-    return Cylinder(params, grid=grid, L=L)
 
 
 def _fmt(v):
@@ -244,7 +236,7 @@ def cmd_constants(cfg):
 
     def point_rows(p, n):
         # the constants read sectors 0 and 1 only, so the smallest angular rule will do
-        cyl = _make_cylinder(cfg, from_pn(p, n), L=1)
+        cyl = Cylinder(from_pn(p, n), L=1)
         sc = stab.stability_constants(cyl)
         floor = hminus1_norm(apply_H1(cyl.bubble_field()))
         yield {
@@ -265,7 +257,7 @@ def cmd_spectrum(cfg):
 
     def point_rows(p, n):
         # the walk forms each sector's band itself and reads no angular rule
-        cyl = _make_cylinder(cfg, from_pn(p, n), L=1)
+        cyl = Cylinder(from_pn(p, n), L=1)
         sig = f"N={cyl.grid.N};S={cyl.grid.S:.6g}"
         g3, spectra = spec_mod.sector_walk(cyl)
         for spec in spectra[:2]:
@@ -287,7 +279,10 @@ def cmd_sharpness(cfg):
     ]
 
     def point_rows(p, n):
-        cyl = _make_cylinder(cfg, from_pn(p, n), L=cfg["L"], refine=stab.STUDY_REFINE)
+        cyl = Cylinder(from_pn(p, n), L=cfg["L"], refine=stab.STUDY_REFINE)
+        if stab.corrector(cyl).identity_residual_l2 > stab.CORRECTOR_BOUND:
+            # the defect falls about 16x per halving of h; one rebuild, no more
+            cyl = Cylinder(cyl.params, L=cyl.L, refine=2 * stab.STUDY_REFINE)
         rep = stab.sharpness_study(cyl, cfg["mu"])
         for i, mu in enumerate(rep.mus):
             yield {

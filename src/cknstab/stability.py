@@ -58,7 +58,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-STUDY_REFINE = 2  # refine 1 fails the 1e-7 corrector guard; 10 is at the h^-2 roundoff floor
+STUDY_REFINE = 2  # refine 1 fails CORRECTOR_BOUND; 10 is at the h^-2 roundoff floor
+CORRECTOR_BOUND = 1e-7  # largest corrector identity defect the family accepts
+STUDY_MIN_L = 3  # the residual's leading terms Y eta and Y^3 occupy degrees <= 3
 SERIES_HEAD = 1024      # head terms K of the R series; its value is cut at 2K
 SERIES_REL_TOL = 1e-10  # relative tail bound above which the R series warns
 POLISH_XTOL, POLISH_RTOL = 1e-14, 1e-15  # the fit's root polish stops below xtol + rtol |t|
@@ -565,14 +567,14 @@ def _corrector(cyl):
 
 def counterexample(cyl, mu):
     """The family member w(mu); requires |mu| <= 0.05 and a grid on which the
-    corrector meets its 1e-7 defect guard (``STUDY_REFINE`` or finer)."""
+    corrector defect is at most ``CORRECTOR_BOUND`` (``STUDY_REFINE`` or finer)."""
     if abs(mu) > 0.05:
         raise ValueError(f"|mu| <= 0.05 required, got {mu}")
     cor = corrector(cyl)
-    if cor.identity_residual_l2 > 1e-7:
+    if cor.identity_residual_l2 > CORRECTOR_BOUND:
         raise ArithmeticError(
             f"corrector identity defect {cor.identity_residual_l2:.2e} exceeds "
-            f"1e-7 on this grid"
+            f"{CORRECTOR_BOUND:g} on this grid"
         )
     V = cyl.ground_state
     w = (
@@ -613,8 +615,10 @@ def sharpness_study(cyl, mus):
     """Log-log slope study of the constructed and naive families.
 
     Expects at least five distinct mu values, log-spaced inside [1e-3, 3e-2],
-    and a cylinder at refine ``STUDY_REFINE`` or finer (see ``counterexample``).
+    and a cylinder with ``L >= STUDY_MIN_L`` meeting ``CORRECTOR_BOUND`` (see ``counterexample``).
     """
+    if cyl.L < STUDY_MIN_L:
+        raise ValueError(f"degree L >= {STUDY_MIN_L} required, got {cyl.L}")
     mus = np.sort(np.asarray(mus, dtype=float))
     if len(np.unique(mus)) < 5:
         raise ValueError("need at least 5 distinct mu values")

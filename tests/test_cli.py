@@ -11,6 +11,7 @@ from cknstab import _lapack, cli
 from cknstab import spectrum as spec_mod
 from cknstab._discrete import Band
 from cknstab._oracles import solvable_gamma
+from cknstab.stability import STUDY_MIN_L, STUDY_REFINE
 
 
 def run_cli(args):
@@ -112,10 +113,16 @@ def test_empty_pair_list_is_success(tmp_path):
     assert lines[0].startswith("n,p,E0")
 
 
-def test_failed_row_sets_exit_status(tmp_path, capsys):
+def coarse_cylinders(monkeypatch):
+    """Give every Cylinder the CLI builds a 129-point grid, which its spacing check refuses."""
+    monkeypatch.setattr(cli, "Cylinder", lambda params, L, refine=1:
+                        ck.Cylinder(params, grid=ck.Grid(S=40.0, N=129), L=L))
+
+
+def test_failed_row_sets_exit_status(tmp_path, capsys, monkeypatch):
+    coarse_cylinders(monkeypatch)
     out = tmp_path / "c.csv"
-    assert cli.main(["constants", "--n", "3", "--p", "4", "--grid-N", "129",
-                     "--out", str(out)]) == 3
+    assert cli.main(["constants", "--n", "3", "--p", "4", "--out", str(out)]) == 3
     assert "1 of 1 rows carry an error" in capsys.readouterr().err
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 2 and "exceeds 0.05" in lines[1]
@@ -124,11 +131,11 @@ def test_failed_row_sets_exit_status(tmp_path, capsys):
 def test_module_entry_point_exit_status(tmp_path):
     """``python -m cknstab.cli`` passes a failed row's status 3 to the process."""
     out = tmp_path / "c.csv"
-    proc = run_cli(["constants", "--n", "3", "--p", "4", "--grid-N", "129",
+    proc = run_cli(["interactions", "--n", "3", "--p", "4", "--gaps", "600",
                     "--out", str(out)])
     assert proc.returncode == 3
     assert proc.stderr == "cknstab: 1 of 1 rows carry an error\n"
-    assert "exceeds 0.05" in out.read_text()
+    assert "ValueError: centers exceed the extensible range" in out.read_text()
 
 
 def test_spectrum_rows_and_determinism(tmp_path):
@@ -249,13 +256,13 @@ def test_config_file_with_override(tmp_path):
 
 
 @pytest.mark.parametrize("line, message", [
-    ("grid_n = 129", "unrecognized arguments: --grid-n 129"),
-    ("grid = 129", "unrecognized arguments: --grid 129"),
+    ("grid_N = 129", "unrecognized arguments: --grid_N 129"),
+    ("form = json", "unrecognized arguments: --form json"),
     ("format = xml", "argument --format: invalid choice: 'xml'"),
-    ("grid_N = abc", "argument --grid-N: invalid int value: 'abc'"),
+    ("n = abc", "argument --n: invalid int value: 'abc'"),
     ("seed = 1", "unrecognized arguments: --seed 1"),
     ("p = abc", "argument --p: could not convert string to float: 'abc'"),
-    ("grid_N 129", "bad config line: 'grid_N 129\\n'"),
+    ("n 3", "bad config line: 'n 3\\n'"),
     ("config = other.cfg", "config files do not nest"),
     ("p = 6.5", "inadmissible pair (p, n) = (6.5, 3)"),
 ], ids=["unknown_key", "abbreviation", "bad_choice", "bad_int", "foreign_key", "bad_p",
@@ -269,10 +276,11 @@ def test_config_file_rejects_bad_input(tmp_path, capsys, line, message):
     assert message in capsys.readouterr().err
 
 
-def test_config_keys_are_long_flags(tmp_path):
-    """``_`` and ``-`` are interchangeable in keys, and ``fmt`` means ``format``."""
+def test_config_keys_are_long_flags(tmp_path, monkeypatch):
+    """A key is a long flag without its dashes, and ``fmt`` means ``format``."""
+    coarse_cylinders(monkeypatch)
     cfgfile = tmp_path / "run.cfg"
-    cfgfile.write_text("n = 3\np = 4\nfmt = json\ngrid_N = 129\ngrid-S = 40\nL = 4\n")
+    cfgfile.write_text("n = 3\np = 4\nfmt = json\nL = 4\n")
     out = tmp_path / "o.json"
     assert cli.main(["sharpness", "--config", str(cfgfile), "--out", str(out)]) == 3
     doc = json.loads(out.read_text())
@@ -284,17 +292,20 @@ INTERACTION_KINDS = ["pair_min_exponent", "pair_balanced", "derivative",
                      "sum_residual", "gap_norm_W2"]
 
 
-@pytest.mark.parametrize("argv, clean_kinds, cells", [
-    (["constants", "--grid-N", "129"], [], {}),
-    (["spectrum", "--grid-N", "129"], [],
+@pytest.mark.parametrize("argv, coarse, clean_kinds, cells", [
+    (["constants"], True, [], {}),
+    (["spectrum"], True, [],
      {"ell": "", "index": "", "gamma": "", "residual": "", "grid_signature": ""}),
-    (["sharpness", "--grid-N", "129"], [], {"kind": "error", "mu": ""}),
-    (["interactions", "--gaps", "5", "600"], INTERACTION_KINDS, {"kind": "error", "gap": ""}),
-    (["sharpness", "--mu", "1e-3", "1e-3", "1e-3", "1e-3", "1e-3"], [],
+    (["sharpness"], True, [], {"kind": "error", "mu": ""}),
+    (["interactions", "--gaps", "5", "600"], False, INTERACTION_KINDS,
+     {"kind": "error", "gap": ""}),
+    (["sharpness", "--mu", "1e-3", "1e-3", "1e-3", "1e-3", "1e-3"], False, [],
      {"kind": "error", "mu": ""}),
 ], ids=["constants", "spectrum", "sharpness", "interactions", "repeated_mu"])
-def test_failed_point_row(tmp_path, capsys, argv, clean_kinds, cells):
+def test_failed_point_row(tmp_path, capsys, monkeypatch, argv, coarse, clean_kinds, cells):
     """A failing point keeps the rows it made, adds one error row, and exits 3."""
+    if coarse:
+        coarse_cylinders(monkeypatch)
     out = tmp_path / "f.json"
     status = cli.main([argv[0], "--n", "3", "--p", "4", *argv[1:],
                        "--format", "json", "--out", str(out)])
@@ -387,43 +398,57 @@ def test_sharpness_command_slopes(tmp_path):
     assert abs(slopes["naive_residual"] - 2.0) <= 0.1
 
 
-@pytest.mark.parametrize("flags", [["--grid-S", "1"], ["--grid-N", "129"]])
-def test_sharpness_uses_grid_flags(tmp_path, flags):
+@pytest.mark.parametrize("p, refines", [
+    (4.0, [STUDY_REFINE]),
+    (5.98, [STUDY_REFINE, 2 * STUDY_REFINE]),  # the refine-2 defect is 1.7e-7
+])
+def test_sharpness_refines_once_on_a_large_corrector_defect(tmp_path, monkeypatch, p, refines):
+    built = []
+
+    def recorded(params, L, refine=1):
+        built.append(refine)
+        return ck.Cylinder(params, L=L, refine=refine)
+
+    monkeypatch.setattr(cli, "Cylinder", recorded)
     out = tmp_path / "s.json"
-    status = cli.main(["sharpness", "--n", "3", "--p", "4", *flags,
-                       "--format", "json", "--out", str(out)])
-    assert status == 3
-    doc = json.loads(out.read_text())
-    assert doc["rows"][0]["error"].startswith("ValueError")
+    assert cli.main(["sharpness", "--n", "3", "--p", str(p), "--format", "json",
+                     "--out", str(out)]) == 0
+    assert built == refines
+    [slopes] = [r for r in json.loads(out.read_text())["rows"] if r["kind"] == "slopes"]
+    assert abs(slopes["residual"] - 3.0) <= 0.1
+    assert abs(slopes["distance"] - 1.0) <= 0.02
+    assert abs(slopes["naive_residual"] - 2.0) <= 0.1
 
 
-@pytest.mark.parametrize("L", [0, 1, cli.L_CAP, cli.L_CAP + 1])
+@pytest.mark.parametrize("L", [0, 1, 2, 3, cli.L_CAP, cli.L_CAP + 1])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_sharpness_L_is_capped(tmp_path, capsys, L, source):
-    """--L outside 1..L_CAP is a usage error, from the command line or a config file."""
+    """--L outside STUDY_MIN_L..L_CAP is a usage error, from the command line or a
+    config file: below degree 3 the study would cut its residual's leading terms."""
     argv = ["sharpness", "--L", str(L)]
     if source == "config":
         (tmp_path / "run.cfg").write_text(f"L = {L}\n")
         argv = ["sharpness", "--config", str(tmp_path / "run.cfg")]
-    if 1 <= L <= cli.L_CAP:
+    if STUDY_MIN_L <= L <= cli.L_CAP:
         assert cli.resolve_config(argv)["L"] == L
         return
     with pytest.raises(SystemExit) as exc:
         cli.resolve_config(argv)
     assert exc.value.code == 2
-    assert f"argument --L: must satisfy 1 <= L <= {cli.L_CAP}, got {L}" in capsys.readouterr().err
+    assert (f"argument --L: must satisfy {STUDY_MIN_L} <= L <= {cli.L_CAP}, got {L}"
+            in capsys.readouterr().err)
 
 
 # the flags each command takes, and a valid value for each
 COMMAND_FLAGS = {
-    "constants": {"--config", "--n", "--p", "--grid-N", "--grid-S", "--out", "--format"},
-    "spectrum": {"--config", "--n", "--p", "--grid-N", "--grid-S", "--out", "--format"},
-    "sharpness": {"--config", "--n", "--p", "--grid-N", "--grid-S", "--L", "--mu",
-                  "--out", "--format"},
+    "constants": {"--config", "--n", "--p", "--out", "--format"},
+    "spectrum": {"--config", "--n", "--p", "--out", "--format"},
+    "sharpness": {"--config", "--n", "--p", "--L", "--mu", "--out", "--format"},
     "interactions": {"--config", "--n", "--p", "--gaps", "--out", "--format"},
     "selftest": {"--config", "--seed", "--out", "--format"},
 }
-# no command takes --M (the node count is 2L + 2), so every command refuses it
+# no command takes --M (the node count is 2L + 2) or --grid-N/--grid-S (each grid
+# is worked out from (p, n)), so every command refuses them
 FLAG_VALUES = {"--config": "run.cfg", "--n": "3", "--p": "4", "--grid-N": "4097",
                "--grid-S": "30", "--L": "4", "--M": "32", "--mu": "0.01", "--gaps": "5",
                "--out": "o.csv", "--format": "json", "--seed": "1"}
@@ -444,7 +469,7 @@ def test_command_rejects_flags_it_does_not_read(command, flag, capsys):
 def test_command_takes_its_own_flags(command):
     own = sorted(COMMAND_FLAGS[command] - {"--config"})
     cfg = cli.resolve_config([command, *(tok for f in own for tok in (f, FLAG_VALUES[f]))])
-    dest = {"--grid-N": "grid_N", "--grid-S": "grid_S", "--format": "fmt"}
+    dest = {"--format": "fmt"}
     assert set(cfg) - {"command", "pairs"} == {dest.get(f, f[2:]) for f in COMMAND_FLAGS[command]}
 
 

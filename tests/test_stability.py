@@ -413,6 +413,14 @@ def test_counterexample_mu_guard(study34):
         ck.counterexample(study34, 0.06)
 
 
+def test_counterexample_refuses_a_large_corrector_defect():
+    # at high p the refine-2 defect is 1.7e-7; the CLI rebuilds at refine 4 there
+    cyl = ck.Cylinder(ck.from_pn(5.98, 3), refine=stability.STUDY_REFINE)
+    assert ck.corrector(cyl).identity_residual_l2 > stability.CORRECTOR_BOUND == 1e-7
+    with pytest.raises(ArithmeticError, match="exceeds 1e-07 on this grid"):
+        ck.counterexample(cyl, 0.01)
+
+
 def test_corrector_identity_and_orthogonality(study34):
     cor = ck.corrector(study34)
     assert cor.identity_residual_l2 <= 1e-7
@@ -430,6 +438,13 @@ def test_sharpness_input_validation(study34):
         ck.sharpness_study(study34, [1e-3] * 5)  # repeated
     with pytest.raises(ValueError, match="lie in"):
         ck.sharpness_study(study34, [1e-3, 2e-3, 4e-3, 8e-3, math.nan])
+
+
+def test_sharpness_study_needs_degree_3(par34):
+    # below degree 3 the residual's leading terms Y eta and Y^3 are cut
+    cyl = ck.Cylinder(par34, L=stability.STUDY_MIN_L - 1, refine=stability.STUDY_REFINE)
+    with pytest.raises(ValueError, match="degree L >= 3 required, got 2"):
+        ck.sharpness_study(cyl, np.geomspace(1e-3, 3e-2, 7))
 
 
 def test_corrector_computed_once_per_cylinder(par34):
