@@ -43,6 +43,7 @@ __all__ = [
 DEFAULT_L = 8
 DEFAULT_H = 0.05
 MIN_POINTS = 4096  # per refinement unit; actual N is the next odd count
+BLOCK_VALUES = 8192  # tensor-grid values (64 KiB) per block of pointwise_map_with_tail
 
 
 def sphere_area(n):
@@ -211,8 +212,9 @@ class Cylinder:
     """Discretization context: parameters, grid, angular rule, and operators.
 
     Builds each derived part once: its -d^2 band ``neg_d2``, which every axial
-    solver reads, and the sector operators now; ``ground_state`` and the sharp
-    family's ``corrector`` on first use."""
+    solver reads, and the sector operators now; ``ground_state``, the sharp
+    family's ``corrector`` and ``family_basis``, and the bubble fit's
+    ``fit_inputs`` on first use."""
 
     def __init__(self, params, grid=None, L=DEFAULT_L, refine=1):
         self.params = params
@@ -240,6 +242,26 @@ class Cylinder:
         from .stability import _corrector  # local import; stability depends on cylinder
 
         return _corrector(self)
+
+    @cached_property
+    def family_basis(self):
+        """The sharp family's two basis rows, read-only: the degree-0 row of
+        ``from_radial(ground_state)`` and the degree-1 row of
+        ``from_theta_power(ground_state ** (p/2), 1)``, its only nonzero row.
+        ``stability.counterexample`` scales them per ``mu``."""
+        V = self.ground_state
+        rows = np.outer(self.sphere.theta_power_coeffs(1)[:2], V ** (self.params.p / 2.0))
+        rows[0] = math.sqrt(sphere_area(self.params.n)) * V
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def fit_inputs(self):
+        """The bubble-manifold fit's inputs that depend on the cylinder alone;
+        see ``stability.nearest_bubble``."""
+        from .stability import _fit_inputs  # local import; stability depends on cylinder
+
+        return _fit_inputs(self)
 
     def bubble(self, t=0.0):
         return _params.bubble_profile(self.params, self.grid.s, t)
@@ -284,14 +306,15 @@ class ZonalField:
     """Axisymmetric function stored as per-degree axial profiles.
 
     ``profiles[l]`` multiplies the normalized zonal harmonic of degree l; the
-    array is frozen after construction (a caller's array is copied first), so
+    array is frozen after construction (a caller's array is copied first, in C
+    order, the layout the row-wise scans of ``_take`` read fastest), so
     fields behave as immutable values.  ``degrees`` lists, in ascending order,
     the degrees whose profile is not identically zero; every sector loop walks
     it in place of testing each profile.
     """
 
     def __init__(self, cyl, profiles):
-        self._take(cyl, np.array(profiles, dtype=float, copy=True))
+        self._take(cyl, np.array(profiles, dtype=float, copy=True, order="C"))
 
     @classmethod
     def _adopt(cls, cyl, profiles):
@@ -307,12 +330,14 @@ class ZonalField:
                 f"profiles shape {profiles.shape} does not match "
                 f"(L+1, N) = {(cyl.L + 1, cyl.grid.N)}"
             )
-        if not np.all(np.isfinite(profiles)):
+        # one row-wise max and min pass: a NaN reaches both, an inf one of them
+        hi, lo = profiles.max(axis=1), profiles.min(axis=1)
+        if not (np.isfinite(hi).all() and np.isfinite(lo).all()):
             raise ValueError("field profiles must be finite")
         profiles.flags.writeable = False
         self.cyl = cyl
         self.profiles = profiles
-        self.degrees = np.flatnonzero(profiles.any(axis=1)).tolist()
+        self.degrees = np.flatnonzero((hi != 0.0) | (lo != 0.0)).tolist()
 
     def radial_profile(self):
         """The angular mean profile, i.e. the l = 0 part as a raw function."""
@@ -390,8 +415,19 @@ def pointwise_map_with_tail(f, fn):
     f is constant on each sphere, equal to Y_0 times its degree-0 profile, and
     so is fn(f): the result is ``fn(Y_0 f_0) / Y_0`` in degree 0 and zero in
     every other degree, and the tail is exactly 0.0, with no tensor grid
-    built.  Any other field is synthesized on the full (N, M) tensor grid and
-    all L + 1 degrees are projected.
+    built.  Any other field is mapped on the (N, M) tensor grid and all L + 1
+    degrees are projected.
+
+    The tensor grid is walked in axial blocks of ``BLOCK_VALUES // M`` rows,
+    rounded down to a multiple of 16: each block is synthesized, mapped,
+    projected into its columns of one preallocated (L+1, N) result and
+    reduced to its rows' angular quadrature of fn(f)^2.  No tensor-grid
+    temporary holds more than BLOCK_VALUES values, so each stays in cache and
+    below glibc's initial 128 KiB mmap threshold, where a full (N, M)
+    temporary is handed back to the kernel and faulted in again on every
+    call.  Whole 16-row groups meet the BLAS kernels' row tiling as the full
+    grid does; on OpenBLAS the projection then matches the unblocked products
+    bit for bit.
     """
     cyl = f.cyl
     if max(f.degrees, default=0) == 0:
@@ -399,10 +435,17 @@ def pointwise_map_with_tail(f, fn):
         proj = np.zeros_like(f.profiles)
         proj[0] = fn(y0 * f.profiles[0]) / y0
         return ZonalField._adopt(cyl, proj), 0.0
-    vals = fn(f.synthesize())
-    proj = (vals @ (cyl.sphere.w[:, None] * cyl.sphere.Y.T)).T
+    Y, w = cyl.sphere.Y, cyl.sphere.w
+    wY = w[:, None] * Y.T
+    rows = max(BLOCK_VALUES // cyl.sphere.M // 16, 1) * 16
+    proj = np.empty((cyl.L + 1, cyl.grid.N))
+    sq = np.empty(cyl.grid.N)  # the angular quadrature of fn(f)^2 on each grid row
+    for a in range(0, cyl.grid.N, rows):
+        vals = fn(f.profiles[:, a:a + rows].T @ Y)
+        proj[:, a:a + rows] = (vals @ wY).T
+        sq[a:a + rows] = (vals**2) @ w
     # discarded angular tail, by Bessel against the discrete angular rule
-    total = (vals**2) @ cyl.sphere.w @ cyl.grid.quad_w
+    total = sq @ cyl.grid.quad_w
     kept = float(np.sum(proj**2 @ cyl.grid.quad_w))
     tail = max(total - kept, 0.0) / total if total > 0 else 0.0
     return ZonalField._adopt(cyl, proj), tail

@@ -107,19 +107,21 @@ def nearest_bubble(v):
     one sign at both ends of a bracket, the scan's sign change was roundoff,
     and the end with the smaller exact |g| is the root.  The root with the
     smallest objective is the center.  It must beat both ends of the scan, or
-    the field is too far from the bubble manifold.
+    the field is too far from the bubble manifold.  The scan's window, the
+    trust scale and the translates at the scan ends depend on the cylinder
+    alone and are read from ``Cylinder.fit_inputs``.
     """
     cyl = v.cyl
     par = cyl.params
+    fit = cyl.fit_inputs
     vn = h1_norm(v)
-    ref = math.sqrt(sphere_area(par.n) * cyl.quad_s(cyl.bubble() ** par.p))
+    ref = fit.ref
     if not (0.1 * ref <= vn <= 10.0 * ref):
         raise ValueError(
             f"field norm {vn:.3e} outside the trust range [0.1, 10] x {ref:.3e}"
         )
 
-    A0 = cyl.sector_ops[0]
-    u0 = A0 @ v.profiles[0]  # precomputed pairing slice: <v, radial g>_H1 = h u0 . g
+    u0 = cyl.sector_ops[0] @ v.profiles[0]  # pairing slice: <v, radial g>_H1 = h u0 . g
     root_area = math.sqrt(sphere_area(par.n))
     h, s = cyl.grid.h, cyl.grid.s
 
@@ -130,10 +132,8 @@ def nearest_bubble(v):
         ds2 = par.Lam * prof - nonlinearity(prof, par.p)
         return h * float(u0 @ ds) * root_area, -h * float(u0 @ ds2) * root_area
 
-    def dist_sq(t):  # ||v||^2 - 2 <v, V_t> + ||V_t||^2
-        prof = cyl.bubble(t)
-        return (vn * vn - 2.0 * (h * float(u0 @ prof) * root_area)
-                + h * float(prof @ (A0 @ prof)) * sphere_area(par.n))
+    def dist_sq(prof, vt_sq):  # ||v||^2 - 2 <v, V_t> + ||V_t||^2, from V_t and ||V_t||^2
+        return vn * vn - 2.0 * (h * float(u0 @ prof) * root_area) + vt_sq
 
     # the root of <v, ds V_t> is resolvable far below the flat floor of the
     # objective itself, so the center is located on the derivative alone
@@ -147,8 +147,8 @@ def nearest_bubble(v):
                 roots.append(a if abs(ea) <= abs(eb) else b)
             else:
                 roots.append(_newton_polish(exact, a, b))
-    fits = [(dist_sq(t), t) for t in roots]
-    if not fits or min(fits)[0] >= min(dist_sq(ts[0]), dist_sq(ts[-1])):
+    fits = [(dist_sq(*_translate(cyl, t)), t) for t in roots]
+    if not fits or min(fits)[0] >= min(dist_sq(*end) for end in fit.ends):
         raise ValueError("no interior distance minimum within |t| <= S/2: "
                          "field too far from the bubble manifold")
     t_star = min(fits)[1]
@@ -216,21 +216,61 @@ def _scan_lattice(grid):
     return np.unique(np.rint(np.linspace(-half, half, 129) / grid.h).astype(int))
 
 
+@dataclass(frozen=True)
+class _FitInputs:
+    """What :func:`nearest_bubble` reads of its cylinder: the scan lattice
+    ``js``, the ds V profile ``ext`` on the grid lattice extended by the scan
+    half-width ``J`` (:func:`_dbubble_scan`), the trust scale ``ref`` =
+    ||V||_H1 by quadrature of V^p, and ``ends``, the :func:`_translate` pair
+    at each end of the scan."""
+
+    js: np.ndarray
+    J: int
+    ext: np.ndarray
+    ref: float
+    ends: tuple
+
+
+def _fit_inputs(cyl):
+    """Build ``Cylinder.fit_inputs``."""
+    par, h, N = cyl.params, cyl.grid.h, cyl.grid.N
+    js = _scan_lattice(cyl.grid)
+    J = int(max(-js[0], js[-1]))
+    m = (N - 1) // 2
+    ts = h * js
+    fit = _FitInputs(
+        js=js,
+        J=J,
+        ext=bubble_profile_ds(par, h * np.arange(-m - J, m + J + 1)),
+        ref=math.sqrt(sphere_area(par.n) * cyl.quad_s(cyl.bubble() ** par.p)),
+        ends=(_translate(cyl, ts[0]), _translate(cyl, ts[-1])),
+    )
+    for arr in (fit.js, fit.ext, fit.ends[0][0], fit.ends[1][0]):
+        arr.flags.writeable = False
+    return fit
+
+
+def _translate(cyl, t):
+    """V_t on the grid and its squared H^1 norm."""
+    prof = cyl.bubble(t)
+    h, area = cyl.grid.h, sphere_area(cyl.params.n)
+    return prof, h * float(prof @ (cyl.sector_ops[0] @ prof)) * area
+
+
 def _dbubble_scan(cyl, u0):
     """Scan shifts t = j h and their pairings <v, ds V_t>, from u0 = A_0 v_0.
 
     With m = (N-1)//2, ds V_{jh} on the grid is ds V sampled at s = k h for
     k = -m-j .. m-j: a window of one profile sampled for |k| <= m + max|j|.
-    The scan costs that one profile and one N-long dot product per shift.
+    The scan costs one N-long dot product per shift; the window is built once
+    per cylinder (``Cylinder.fit_inputs``).
     """
     h, N = cyl.grid.h, cyl.grid.N
-    js = _scan_lattice(cyl.grid)
-    J = int(max(-js[0], js[-1]))
-    m = (N - 1) // 2
-    ext = bubble_profile_ds(cyl.params, h * np.arange(-m - J, m + J + 1))
+    fit = cyl.fit_inputs
+    J, ext = fit.J, fit.ext
     root_area = math.sqrt(sphere_area(cyl.params.n))
-    gs = [h * float(u0 @ ext[J - j:J - j + N]) * root_area for j in js]
-    return h * js, gs
+    gs = [h * float(u0 @ ext[J - j:J - j + N]) * root_area for j in fit.js]
+    return h * fit.js, gs
 
 
 def _y_mode_field(cyl, t=0.0):
@@ -576,19 +616,24 @@ def counterexample(cyl, mu):
             f"corrector identity defect {cor.identity_residual_l2:.2e} exceeds "
             f"{CORRECTOR_BOUND:g} on this grid"
         )
-    V = cyl.ground_state
-    w = (
-        (1.0 - cor.C0 * mu * mu) * cyl.from_radial(V)
-        + mu * cyl.from_theta_power(V ** (cyl.params.p / 2.0), 1)
-        + mu * mu * cor.eta
-    )
-    return w
+    # (1 - C0 mu^2) V0 + mu V0^{p/2} theta_n, then + mu^2 eta, in one array;
+    # each row adds exactly 0.0 where it skips a term's zero rows
+    v0, y = cyl.family_basis
+    w = np.zeros((cyl.L + 1, cyl.grid.N))
+    w[0] = (1.0 - cor.C0 * mu * mu) * v0
+    w[1] = mu * y
+    for l in cor.eta.degrees:
+        w[l] += mu * mu * cor.eta.profiles[l]
+    return ZonalField._adopt(cyl, w)
 
 
 def naive_family(cyl, mu):
     """The undressed family V0 + mu V0^{p/2} theta_n (quadratic residual)."""
-    V = cyl.ground_state
-    return cyl.from_radial(V) + mu * cyl.from_theta_power(V ** (cyl.params.p / 2.0), 1)
+    v0, y = cyl.family_basis
+    w = np.zeros((cyl.L + 1, cyl.grid.N))
+    w[0] = v0
+    w[1] = mu * y
+    return ZonalField._adopt(cyl, w)
 
 
 @dataclass(frozen=True)

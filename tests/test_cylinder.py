@@ -183,6 +183,26 @@ def test_radial_pointwise_map_matches_tensor_path(p, n):
     assert tail == 0.0
 
 
+@pytest.mark.parametrize("L", [8, 64])
+@pytest.mark.parametrize("p", [3.0, 4.0, 2.6])
+def test_blocked_pointwise_map_matches_full_tensor_grid(p, L):
+    cyl = ck.Cylinder(ck.from_pn(p, 3), L=L)
+    # N is odd and a block is a multiple of 16 rows, so the last block is partial
+    assert cyl.grid.N > ck.cylinder.BLOCK_VALUES // cyl.sphere.M
+    prof = cyl.bubble()
+    f = cyl.bubble_field() + cyl.from_theta_power(prof ** (p / 2.0), 1)
+    f = f + 0.5 * cyl.from_theta_power(prof, 3)  # sign changes and degree 3
+    g, tail = pointwise_map_with_tail(f, lambda z: nonlinearity(z, p))
+    # the unblocked formula: the full (N, M) grid, projected onto Y with weights w
+    vals = nonlinearity(f.synthesize(), p)
+    proj = (vals @ (cyl.sphere.w[:, None] * cyl.sphere.Y.T)).T
+    total = (vals**2) @ cyl.sphere.w @ cyl.grid.quad_w
+    want = max(total - float(np.sum(proj**2 @ cyl.grid.quad_w)), 0.0) / total
+    assert np.max(np.abs(g.profiles - proj)) <= 1e-14 * np.max(np.abs(proj))
+    assert tail == pytest.approx(want, rel=1e-10, abs=1e-15)
+    assert (tail > 1e-12) == (p != 4.0 or L < 9)  # the cubic has degree 9
+
+
 def test_pointwise_map_square_of_first_mode(par34, cyl34):
     # squaring the first-mode field puts energy exactly in degrees 0 and 2
     prof = cyl34.bubble() ** (par34.p / 2.0)
@@ -237,6 +257,14 @@ def test_field_rejects_nonfinite(cyl34):
     prof[0, 5] = np.nan
     with pytest.raises(ValueError):
         cyl34.field(prof)
+    # a scan of the row maxima alone misses -inf, one of the minima +inf
+    occupied = np.zeros((cyl34.L + 1, cyl34.grid.N))
+    occupied[0] = cyl34.bubble()
+    for row, bad in ((3, np.inf), (0, -np.inf)):
+        prof = occupied.copy()
+        prof[row, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            cyl34.field(prof)
 
 
 def test_load_field_rejects_malformed(tmp_path, cyl34):

@@ -461,6 +461,31 @@ def test_corrector_does_not_keep_its_cylinder_alive(par34):
     assert ref() is None
 
 
+def test_sharpness_study_matches_public_calls_on_fresh_cylinders(par34, study34):
+    """The cylinder's cached family and fit inputs move no bits: each study
+    value equals the public per-mu calls on a fresh cylinder, and each member
+    the field sum it is built from."""
+    rep = ck.sharpness_study(study34, np.geomspace(1e-3, 3e-2, 7))
+    rows = []
+    for mu in rep.mus:
+        cyl = ck.Cylinder(par34, refine=stability.STUDY_REFINE)
+        V, cor = cyl.ground_state, ck.corrector(cyl)
+        y = cyl.from_theta_power(V ** (par34.p / 2.0), 1)
+        w = ck.counterexample(cyl, mu)
+        want = (1.0 - cor.C0 * mu * mu) * cyl.from_radial(V) + mu * y + mu * mu * cor.eta
+        assert np.array_equal(w.profiles, want.profiles) and w.degrees == want.degrees
+        naive = ck.naive_family(cyl, mu)
+        assert np.array_equal(naive.profiles, (cyl.from_radial(V) + mu * y).profiles)
+        fit = ck.nearest_bubble(w)
+        perp = ck.h1_norm(fit.remainder - cyl.bubble_field(fit.t_star))
+        rows.append((ck.hminus1_norm(ck.apply_H1(w)), fit.distance, fit.projY_norm, perp,
+                     ck.hminus1_norm(ck.apply_H1(naive))))
+    got = (rep.residuals, rep.distances, rep.proj_norms, rep.perp_distances,
+           rep.naive_residuals)
+    for study_col, fresh_col in zip(got, zip(*rows)):
+        assert np.array_equal(study_col, fresh_col)
+
+
 def test_sharpness_study_converged_in_the_grid(par34, study34):
     """Doubling STUDY_REFINE moves the study by far less than its gates allow."""
     mus = np.geomspace(1e-3, 3e-2, 7)
