@@ -13,9 +13,7 @@ from .cylinder import (
     default_grid,
     h1_inner,
     h1_norm,
-    load_field,
     lp_norm,
-    save_field,
     sphere_area,
     sphere_moment,
 )
@@ -61,5 +59,4 @@ from .stability import (
     project_Y,
     sharpness_study,
     stability_constants,
-    test_function_bound,
 )

@@ -36,8 +36,6 @@ __all__ = [
     "h1_inner",
     "h1_norm",
     "lp_norm",
-    "save_field",
-    "load_field",
 ]
 
 DEFAULT_L = 8
@@ -214,7 +212,8 @@ class Cylinder:
     Builds each derived part once: its -d^2 band ``neg_d2``, which every axial
     solver reads, and the sector operators now; ``ground_state``, the sharp
     family's ``corrector`` and ``family_basis``, and the bubble fit's
-    ``fit_inputs`` on first use."""
+    ``fit_inputs`` on first use.  They hold arrays, never fields, so none
+    refers back to the cylinder, and a dropped cylinder is freed at once."""
 
     def __init__(self, params, grid=None, L=DEFAULT_L, refine=1):
         self.params = params
@@ -248,7 +247,8 @@ class Cylinder:
         """The sharp family's two basis rows, read-only: the degree-0 row of
         ``from_radial(ground_state)`` and the degree-1 row of
         ``from_theta_power(ground_state ** (p/2), 1)``, its only nonzero row.
-        ``stability.counterexample`` scales them per ``mu``."""
+        The one source of V0 and Y = V0^{p/2} theta_n for the sharp family,
+        the corrector and the energy route to R."""
         V = self.ground_state
         rows = np.outer(self.sphere.theta_power_coeffs(1)[:2], V ** (self.params.p / 2.0))
         rows[0] = math.sqrt(sphere_area(self.params.n)) * V
@@ -450,44 +450,3 @@ def pointwise_map_with_tail(f, fn):
     tail = max(total - kept, 0.0) / total if total > 0 else 0.0
     return ZonalField._adopt(cyl, proj), tail
 
-
-# -- flat-file serialization ---------------------------------------------------
-#
-# Layout (text, one record per line):
-#   line 1:  "cknstab-field 1"           format tag and version
-#   line 2:  n p L N S                   discretization header
-#   next L+1 lines: N comma-separated profile values, degree 0 first.
-
-
-def save_field(f, path):
-    cyl = f.cyl
-    with open(path, "w") as fh:
-        fh.write("cknstab-field 1\n")
-        fh.write(
-            f"{cyl.params.n} {float(cyl.params.p)!r} {cyl.L} {cyl.grid.N} "
-            f"{float(cyl.grid.S)!r}\n"
-        )
-        for l in range(cyl.L + 1):
-            fh.write(",".join(repr(float(v)) for v in f.profiles[l]) + "\n")
-
-
-def load_field(path, cyl=None):
-    with open(path) as fh:
-        tag = fh.readline().split()
-        if tag[:1] != ["cknstab-field"]:
-            raise ValueError(f"not a field file: {path}")
-        if tag[1:] != ["1"]:
-            raise ValueError(f"unsupported field file version {tag[1:]}: {path}")
-        n_s, p_s, L_s, N_s, S_s = fh.readline().split()
-        header = n, p, L, N, S = int(n_s), float(p_s), int(L_s), int(N_s), float(S_s)
-        if cyl is None:
-            cyl = Cylinder(_params.from_pn(p, n), grid=Grid(S=S, N=N), L=L)
-        elif header != (cyl.params.n, cyl.params.p, cyl.L, cyl.grid.N, cyl.grid.S):
-            raise ValueError(
-                f"field file header (n, p, L, N, S) = {header} does not match "
-                f"the cylinder's: {path}"
-            )
-        profiles = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if profiles.shape != (L + 1, N):
-        raise ValueError(f"malformed field file: {path}")
-    return ZonalField._adopt(cyl, profiles)

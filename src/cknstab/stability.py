@@ -52,7 +52,6 @@ __all__ = [
     "counterexample",
     "naive_family",
     "sharpness_study",
-    "test_function_bound",
     "stability_constants",
 ]
 
@@ -79,8 +78,9 @@ _GL24_WEIGHTS = 2.0 * _GL24_WEIGHTS
 class BubbleFit:
     """Best translate V_t of the bubble family: the center, the distance
     ||v - V_t||, the coefficient along the degenerate direction
-    V_t^{p/2} Y_1 and its H^1 size, the stationarity of the fit, and the
-    remainder of v off that direction (``project_Y``'s remainder)."""
+    V_t^{p/2} Y_1 at the center and its H^1 size, the stationarity of the
+    fit, and the remainder of v off that direction, all three from
+    ``project_Y(v, t_star)``."""
 
     t_star: float
     distance: float
@@ -164,7 +164,7 @@ def nearest_bubble(v):
     # form loses half the digits to cancellation near the manifold
     distance = _distance_to_bubble(v, t_star)
 
-    coeff, remainder, y_norm = _project_Y(v, t_star)
+    coeff, remainder, y_norm = project_Y(v, t_star)
     return BubbleFit(
         t_star=float(t_star),
         distance=distance,
@@ -273,22 +273,22 @@ def _dbubble_scan(cyl, u0):
     return h * fit.js, gs
 
 
-def _y_mode_field(cyl, t=0.0):
-    """The degenerate direction V_t^{p/2} Y_1 as a field (normalized basis)."""
-    prof = cyl.bubble(t) ** (cyl.params.p / 2.0)
+def _row_field(cyl, l, prof):
+    """The field with profile ``prof`` in degree l and zero in every other."""
     profiles = np.zeros((cyl.L + 1, cyl.grid.N))
-    profiles[1] = prof
+    profiles[l] = prof
     return ZonalField._adopt(cyl, profiles)
 
 
-def project_Y(v, t=0.0):
-    """Coefficient of v along V_t^{p/2} Y_1 in H^1, and the remainder field."""
-    coeff, remainder, _ = _project_Y(v, t)
-    return coeff, remainder
+def _y_mode_field(cyl, t):
+    """The degenerate direction V_t^{p/2} Y_1 of the translate V_t as a field
+    (normalized basis); ``Cylinder.family_basis[1]`` is the discrete V_0's."""
+    return _row_field(cyl, 1, cyl.bubble(t) ** (cyl.params.p / 2.0))
 
 
-def _project_Y(v, t):
-    """``project_Y`` and the H^1 norm of V_t^{p/2} Y_1, from one build of that field."""
+def project_Y(v, t):
+    """Coefficient of v along V_t^{p/2} Y_1 in H^1, the remainder field, and
+    the H^1 norm of V_t^{p/2} Y_1, from one build of that field."""
     y = _y_mode_field(v.cyl, t)
     y_sq = h1_inner(y, y)
     coeff = h1_inner(v, y) / y_sq
@@ -474,19 +474,13 @@ def compute_R_gamma(params):
 def compute_R_energy(cyl, E0, F):
     """Energy route 2 (E0 + F) ||V^{p/2} theta_n||_{H^1}^{-4}.
 
-    The degenerate direction is taken with the raw theta_n angular factor
-    (converted from the stored normalized basis through the first sphere
-    moment), matching the convention of the linear term inside E0.
+    The degenerate direction is ``Cylinder.family_basis[1]``, taken with the
+    raw theta_n angular factor (converted from the stored normalized basis
+    through the first sphere moment), matching the convention of the linear
+    term inside E0.
     """
-    y = cyl.from_theta_power(cyl.ground_state ** (cyl.params.p / 2.0), 1)
+    y = _row_field(cyl, 1, cyl.family_basis[1])
     return 2.0 * (E0 + F) / h1_inner(y, y) ** 2
-
-
-def test_function_bound(lam, E0, F):
-    """(lam+2)^2/(4 lam) E0 + 2F; equals 2(E0 + F) at lam = 2."""
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
-    return (lam + 2.0) ** 2 / (4.0 * lam) * E0 + 2.0 * F
 
 
 @dataclass(frozen=True)
@@ -541,9 +535,11 @@ def stability_constants(cyl):
 class Corrector:
     """Second-order corrector eta = eta1 (th_n^2 - 1/n) + eta2 and the mass
     correction C0, with the L2 defect of the corrector equation and the
-    normalized H^1 inner products of eta with V0, ds V0 and V0^{p/2} th_n."""
+    normalized H^1 inner products of eta with V0, ds V0 and V0^{p/2} th_n.
+    ``eta`` is the read-only (L+1, N) profile array, ``cyl.field(eta)`` the
+    field: a field would refer back to the cylinder that caches the corrector."""
 
-    eta: ZonalField
+    eta: np.ndarray
     C0: float
     identity_residual_l2: float
     orthogonality: tuple
@@ -588,9 +584,9 @@ def _corrector(cyl):
     ) - ((p - 1.0) * (p - 2.0) / 2.0) * cyl.from_theta_power(V ** (2.0 * p - 3.0), 2)
     res_l2 = math.sqrt(l2_norm_sq(res_field))
 
-    vfield = cyl.from_radial(V)
+    v0, y = cyl.family_basis
+    vfield, yfield = _row_field(cyl, 0, v0), _row_field(cyl, 1, y)
     dvfield = cyl.from_radial(cyl.bubble_ds())
-    yfield = cyl.from_theta_power(V ** (p / 2.0), 1)
     orth = (
         h1_inner(eta, vfield) / h1_norm(eta) / h1_norm(vfield),
         h1_inner(eta, dvfield) / h1_norm(eta) / h1_norm(dvfield),
@@ -598,7 +594,7 @@ def _corrector(cyl):
     )
 
     return Corrector(
-        eta=eta,
+        eta=eta.profiles,
         C0=C0,
         identity_residual_l2=res_l2,
         orthogonality=orth,
@@ -616,14 +612,12 @@ def counterexample(cyl, mu):
             f"corrector identity defect {cor.identity_residual_l2:.2e} exceeds "
             f"{CORRECTOR_BOUND:g} on this grid"
         )
-    # (1 - C0 mu^2) V0 + mu V0^{p/2} theta_n, then + mu^2 eta, in one array;
-    # each row adds exactly 0.0 where it skips a term's zero rows
+    # mu^2 eta, plus (1 - C0 mu^2) V0 in degree 0 and mu V0^{p/2} theta_n in
+    # degree 1, in one array
     v0, y = cyl.family_basis
-    w = np.zeros((cyl.L + 1, cyl.grid.N))
-    w[0] = (1.0 - cor.C0 * mu * mu) * v0
-    w[1] = mu * y
-    for l in cor.eta.degrees:
-        w[l] += mu * mu * cor.eta.profiles[l]
+    w = mu * mu * cor.eta
+    w[0] += (1.0 - cor.C0 * mu * mu) * v0
+    w[1] += mu * y
     return ZonalField._adopt(cyl, w)
 
 
