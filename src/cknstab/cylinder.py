@@ -17,6 +17,7 @@ at roundoff rather than at discretization accuracy.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -206,14 +207,36 @@ class SphereQuad:
         return c
 
 
+class _SectorBands(Sequence):
+    """The sector operators ``neg_d2.shifted(l(l+n-2) + Lambda)``, l = 0..L,
+    each built on first use: a radial field's residual and dual norm read
+    sector 0's band alone."""
+
+    def __init__(self, neg_d2, shifts):
+        self._neg_d2 = neg_d2
+        self._shifts = shifts
+        self._built = [None] * len(shifts)
+
+    def __len__(self):
+        return len(self._shifts)
+
+    def __getitem__(self, l):
+        band = self._built[l]
+        if band is None:
+            band = self._built[l] = self._neg_d2.shifted(self._shifts[l])
+        return band
+
+
 class Cylinder:
     """Discretization context: parameters, grid, angular rule, and operators.
 
     Builds each derived part once: its -d^2 band ``neg_d2``, which every axial
-    solver reads, and the sector operators now; ``ground_state``, the sharp
-    family's ``corrector`` and ``family_basis``, and the bubble fit's
-    ``fit_inputs`` on first use.  They hold arrays, never fields, so none
-    refers back to the cylinder, and a dropped cylinder is freed at once."""
+    solver reads, now; each sector operator in ``sector_ops``,
+    ``ground_state``, the sharp family's ``corrector`` and ``family_basis``,
+    and the bubble fit's ``fit_inputs`` on first use; and the translates V_t
+    of its two most recent centers, with the powers asked of them
+    (:meth:`bubble_power`).  They hold arrays, never fields, so none refers
+    back to the cylinder, and a dropped cylinder is freed at once."""
 
     def __init__(self, params, grid=None, L=DEFAULT_L, refine=1):
         self.params = params
@@ -222,10 +245,10 @@ class Cylinder:
         self.sphere = SphereQuad(params.n, L=L)
         self.L = self.sphere.L
         self.neg_d2 = Band.neg_d2(self.grid.N, self.grid.h)
-        self.sector_ops = [
-            self.neg_d2.shifted(self.sphere.eigenvalue(l) + params.Lam)
-            for l in range(self.L + 1)
-        ]
+        self.sector_ops = _SectorBands(
+            self.neg_d2, [self.sphere.eigenvalue(l) + params.Lam for l in range(self.L + 1)]
+        )
+        self._translates = {}  # center t -> {q: V_t ** q}, most recent center last
 
     # -- profile-level helpers -------------------------------------------------
 
@@ -264,10 +287,30 @@ class Cylinder:
         return _fit_inputs(self)
 
     def bubble(self, t=0.0):
-        return _params.bubble_profile(self.params, self.grid.s, t)
+        """The translate V_t on the grid, read-only; see :meth:`bubble_power`."""
+        return self.bubble_power(t, 1.0)
+
+    def bubble_power(self, t, q):
+        """V_t ** q on the grid, read-only.  The two most recent centers keep
+        their V_t and each power asked of it, so the rows of one interaction
+        window form each translate and each power once."""
+        powers = self._translates.pop(t, None)
+        if powers is None:
+            if len(self._translates) == 2:
+                del self._translates[next(iter(self._translates))]
+            V = _params.bubble_profile(self.params, self.grid.s, t)
+            V.flags.writeable = False
+            powers = {1.0: V}
+        self._translates[t] = powers
+        if q not in powers:
+            powers[q] = powers[1.0] ** q
+            powers[q].flags.writeable = False
+        return powers[q]
 
     def bubble_ds(self, t=0.0):
-        return _params.bubble_profile_ds(self.params, self.grid.s, t)
+        """ds V_t from the cached V_t, as ``params.bubble_profile_ds`` forms it."""
+        z = self.params.alpha * (self.grid.s - t)
+        return -self.params.sqrt_lam * self.bubble(t) * np.tanh(z)
 
     def quad_s(self, profile):
         """Trapezoid integral of an axial profile."""

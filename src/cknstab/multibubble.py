@@ -102,7 +102,7 @@ def interaction(cyl, t1, t2, q1, q2):
     if abs(q1 + q2 - par.p) > 1e-12:
         raise ValueError(f"exponents must sum to p = {par.p}")
     _check_inside(cyl, (t1, t2))
-    return sphere_area(par.n) * cyl.quad_s(cyl.bubble(t1) ** q1 * cyl.bubble(t2) ** q2)
+    return sphere_area(par.n) * cyl.quad_s(cyl.bubble_power(t1, q1) * cyl.bubble_power(t2, q2))
 
 
 def interaction_derivative(cyl, t1, t2):
@@ -112,7 +112,7 @@ def interaction_derivative(cyl, t1, t2):
     exp(sqrt(Lambda) (t1 - t2)).
     """
     _check_inside(cyl, (t1, t2))
-    vals = cyl.bubble(t1) ** (cyl.params.p - 1.0) * cyl.bubble_ds(t2)
+    vals = cyl.bubble_power(t1, cyl.params.p - 1.0) * cyl.bubble_ds(t2)
     return sphere_area(cyl.params.n) * cyl.quad_s(vals)
 
 
@@ -155,37 +155,43 @@ def weight_profiles(config, s):
     outer tails decay like phi^{1 - zeta}, and unit neighbourhoods of the
     centers sit at the global scale Q.
     """
-    par = config.params
-    p = par.p
-    t = config.centers
-    nu = config.nu
-    if nu < 2:
+    if config.nu < 2:
         raise ValueError("weights are defined for nu >= 2 configurations")
-    rl = par.sqrt_lam
-    zeta = config.zeta
-    Q = config.Q
     s = np.asarray(s, dtype=float)
-    phi = [np.exp(-rl * np.abs(s - ti)) for ti in t]
+    phi = _decays(config, s)
+    return (_windowed_weight(config, s, phi, 1), _cell_weight(config, s, phi),
+            _windowed_weight(config, s, phi, 2))
 
-    def windowed(d):  # W1 keeps distance d = 1 from the centers, W3 keeps d = 2
-        W = np.zeros_like(s)
-        for i in range(nu - 1):
-            Qn = config.Q_pair(i, i + 1)
-            mid = 0.5 * (t[i] + t[i + 1])
-            W += Qn * phi[i] ** (p - 3.0) * ((t[i] + d <= s) & (s <= mid))
-            W += Qn * phi[i + 1] ** (p - 3.0) * ((mid <= s) & (s <= t[i + 1] - d))
-        W += config.Q_pair(nu - 2, nu - 1) * phi[-1] ** (1 - zeta) * (s >= t[-1] + d)
-        W += config.Q_pair(0, 1) * phi[0] ** (1 - zeta) * (s <= t[0] - d)
-        for ti in t:
-            W += Q * ((ti - d <= s) & (s <= ti + d))
-        return W
 
-    W1, W3 = windowed(1), windowed(2)
-    W2 = np.zeros_like(s)
+def _decays(config, s):
+    """phi_i(s) = exp(-sqrt(Lam)|s - t_i|) for each center t_i."""
+    return [np.exp(-config.params.sqrt_lam * np.abs(s - ti)) for ti in config.centers]
+
+
+def _windowed_weight(config, s, phi, d):
+    """W1 (d = 1) or W3 (d = 2): the weight that keeps distance d from the centers."""
+    p, t, nu = config.params.p, config.centers, config.nu
+    W = np.zeros_like(s)
+    for i in range(nu - 1):
+        Qn = config.Q_pair(i, i + 1)
+        mid = 0.5 * (t[i] + t[i + 1])
+        W += Qn * phi[i] ** (p - 3.0) * ((t[i] + d <= s) & (s <= mid))
+        W += Qn * phi[i + 1] ** (p - 3.0) * ((mid <= s) & (s <= t[i + 1] - d))
+    W += config.Q_pair(nu - 2, nu - 1) * phi[-1] ** (1 - config.zeta) * (s >= t[-1] + d)
+    W += config.Q_pair(0, 1) * phi[0] ** (1 - config.zeta) * (s <= t[0] - d)
+    for ti in t:
+        W += config.Q * ((ti - d <= s) & (s <= ti + d))
+    return W
+
+
+def _cell_weight(config, s, phi):
+    """W2: the global scale Q times phi_i^{1 - zeta} on the cell of each center."""
+    t = config.centers
+    W = np.zeros_like(s)
     edges = [-np.inf] + [0.5 * (a + b) for a, b in zip(t, t[1:])] + [np.inf]
-    for i in range(nu):
-        W2 += Q * phi[i] ** (1 - zeta) * ((edges[i] <= s) & (s < edges[i + 1]))
-    return W1, W2, W3
+    for i in range(config.nu):
+        W += config.Q * phi[i] ** (1 - config.zeta) * ((edges[i] <= s) & (s < edges[i + 1]))
+    return W
 
 
 def _weighted_sup(vals, weight):
@@ -211,18 +217,19 @@ def bubble_sum_residual(cyl, centers):
     """
     config = BubbleConfig(params=cyl.params, centers=centers)
     _check_inside(cyl, config.centers)
-    p = cyl.params.p
-    profs = [cyl.bubble(t) for t in config.centers]
-    sigma = np.sum(profs, axis=0)
+    p, centers = cyl.params.p, config.centers
+    sigma = np.sum([cyl.bubble(t) for t in centers], axis=0)
     res = hminus1_norm(apply_H1(cyl.from_radial(sigma)))
 
-    gap_fn = sigma ** (p - 1.0) - np.sum([v ** (p - 1.0) for v in profs], axis=0)
+    gap_fn = sigma ** (p - 1.0) - np.sum([cyl.bubble_power(t, p - 1.0) for t in centers], axis=0)
     if config.nu >= 2:
-        W1, W2, _ = weight_profiles(config, cyl.grid.s)
+        s = cyl.grid.s
+        phi = _decays(config, s)
         if p >= 4.0:
-            norm_index, gap_norm = 2, _weighted_sup(gap_fn, W2)
+            norm_index, weight = 2, _cell_weight(config, s, phi)
         else:
-            norm_index, gap_norm = 1, _weighted_sup(gap_fn, W1)
+            norm_index, weight = 1, _windowed_weight(config, s, phi, 1)
+        gap_norm = _weighted_sup(gap_fn, weight)
         ratio = res / config.Q
     else:
         norm_index, gap_norm, ratio = 0, 0.0, math.nan

@@ -123,14 +123,13 @@ def nearest_bubble(v):
 
     u0 = cyl.sector_ops[0] @ v.profiles[0]  # pairing slice: <v, radial g>_H1 = h u0 . g
     root_area = math.sqrt(sphere_area(par.n))
-    h, s = cyl.grid.h, cyl.grid.s
+    h = cyl.grid.h
 
     def pairing_and_slope(t):
-        # ds V_t as bubble_profile_ds forms it; ds^2 V_t = Lam V_t - V_t^{p-1} by the profile ODE
+        # ds^2 V_t = Lam V_t - V_t^{p-1} by the profile ODE
         prof = cyl.bubble(t)
-        ds = -par.sqrt_lam * prof * np.tanh(par.alpha * (s - t))
         ds2 = par.Lam * prof - nonlinearity(prof, par.p)
-        return h * float(u0 @ ds) * root_area, -h * float(u0 @ ds2) * root_area
+        return h * float(u0 @ cyl.bubble_ds(t)) * root_area, -h * float(u0 @ ds2) * root_area
 
     def dist_sq(prof, vt_sq):  # ||v||^2 - 2 <v, V_t> + ||V_t||^2, from V_t and ||V_t||^2
         return vn * vn - 2.0 * (h * float(u0 @ prof) * root_area) + vt_sq
@@ -317,7 +316,8 @@ def compute_F(cyl):
     lpp = Ip * sphere_area(n)
     t2 = I2p2 * sphere_moment(n, 1)
     t4 = I3p4 * sphere_moment(n, 2)
-    return (p - 1) * (p - 2) / 4.0 * ((p - 1) / lpp * t2**2 - (p - 3) / 3.0 * t4)
+    # t2 / lpp first: t2**2 overflows near p = 2 where F itself does not
+    return (p - 1) * (p - 2) / 4.0 * ((p - 1) * (t2 / lpp) * t2 - (p - 3) / 3.0 * t4)
 
 
 def compute_E0(cyl, eps=0.0):
@@ -480,7 +480,8 @@ def compute_R_energy(cyl, E0, F):
     term inside E0.
     """
     y = _row_field(cyl, 1, cyl.family_basis[1])
-    return 2.0 * (E0 + F) / h1_inner(y, y) ** 2
+    yy = h1_inner(y, y)
+    return 2.0 * (E0 + F) / yy / yy  # yy**2 overflows near p = 2 where R does not
 
 
 @dataclass(frozen=True)

@@ -230,6 +230,19 @@ def test_clean_point_warnings_reach_stderr():
     assert "rows carry an error" not in proc.stderr
 
 
+def test_constants_near_p2_rows_are_clean(tmp_path):
+    # F is 1e174..1e245 here; t2**2 and ||Y||^4 overflowed before the quotient
+    out = tmp_path / "c.json"
+    assert cli.main(["constants", "--n", "2", "3", "4", "5", "6", "--p", "2.02",
+                     "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["n"] for r in rows] == [2, 3, 4, 5, 6]
+    for r in rows:
+        assert r["error"] == ""
+        assert all(np.isfinite(r[k]) and r[k] != 0.0 for k in ("E0", "F", "R_energy", "R_gamma"))
+        assert r["rel_discrepancy"] <= 5e-10
+
+
 def test_constants_json_meta(tmp_path):
     out = tmp_path / "c.json"
     assert cli.main(["constants", "--n", "3", "--p", "4", "--format", "json",

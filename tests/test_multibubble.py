@@ -171,6 +171,22 @@ def test_two_bubble_diagnostics(par34):
     assert math.isfinite(diag.nonlinear_gap_norm)
 
 
+@pytest.mark.parametrize("n, p, index", [(3, 3.0, 1), (3, 4.0, 2)])
+def test_gap_norm_reads_its_branch_weight(n, p, index):
+    # the residual builds only its branch's weight; it is weight_profiles' own
+    par = ck.from_pn(p, n)
+    gap = 6.0 / par.sqrt_lam
+    centers = (-gap / 2.0, gap / 2.0)
+    cyl = ck.window_cylinder(par, centers)
+    diag = ck.bubble_sum_residual(cyl, centers)
+    V = [ck.bubble_profile(par, cyl.grid.s, t) for t in centers]
+    gap_fn = (V[0] + V[1]) ** (p - 1.0) - (V[0] ** (p - 1.0) + V[1] ** (p - 1.0))
+    W = ck.weight_profiles(ck.BubbleConfig(params=par, centers=centers), cyl.grid.s)[index - 1]
+    mask = W > 0
+    assert diag.norm_index == index
+    assert diag.nonlinear_gap_norm == float(np.max(np.abs(gap_fn[mask]) / W[mask]))
+
+
 def test_window_functions_refuse_a_narrow_grid(par34):
     # a caller's grid that ends within the margin of a center would cut its
     # bubble off, so each window function refuses it

@@ -47,10 +47,18 @@ def test_apply_H1_of_radial_field_is_radial(cyl34):
 
 
 def test_radial_residual_factors_sector_zero_only(par34):
+    """A radial residual builds and factors sector 0's band alone; a band built
+    on first use is the shifted -d^2 band, bit for bit."""
     cyl = ck.Cylinder(par34)
     ck.hminus1_norm(ck.apply_H1(cyl.bubble_field()))
-    factored = ["_cholesky" in op.__dict__ for op in cyl.sector_ops]
-    assert factored == [True] + [False] * cyl.L
+    built = cyl.sector_ops._built
+    assert [band is not None for band in built] == [True] + [False] * cyl.L
+    assert "_cholesky" in built[0].__dict__
+    assert len(cyl.sector_ops) == cyl.L + 1
+    for l, op in enumerate(cyl.sector_ops):
+        want = cyl.neg_d2.shifted(l * (l + par34.n - 2) + par34.Lam)
+        assert np.array_equal(op.ab, want.ab)
+        assert op is cyl.sector_ops[l] is built[l]
 
 
 def test_apply_H1_tail_diagnostic(cyl34):

@@ -198,3 +198,10 @@ def test_non_finite_projection_raises():
     A = Band(np.array([[0.0], [0.0], [1e-310]]))
     with pytest.raises(ArithmeticError, match="not finite"):
         spectrum._lanczos(A, np.ones(1), k=1)
+
+
+def test_sector_walk_builds_no_sector_band(par34):
+    # the walk forms each sector's band itself, with its potential
+    cyl = ck.Cylinder(par34, L=1)
+    spectrum.sector_walk(cyl)
+    assert cyl.sector_ops._built == [None, None]

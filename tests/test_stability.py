@@ -437,17 +437,35 @@ def test_corrector_computed_once_per_cylinder(par34):
 
 def test_corrector_does_not_keep_its_cylinder_alive(par34):
     """Nothing a cylinder caches refers back to it: with the cyclic GC off, a
-    cylinder that ran the constants and a whole sharpness study is freed on
-    ``del``."""
+    cylinder that ran the constants and a whole sharpness study, and a window
+    cylinder that ran the five window calls, are freed on ``del``.  The
+    translates a cylinder keeps are read-only and equal the profiles."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         cyl = ck.Cylinder(par34, refine=stability.STUDY_REFINE)
         ck.stability_constants(cyl)
         ck.sharpness_study(cyl, np.geomspace(1e-3, 3e-2, 7))
-        ref = weakref.ref(cyl)
-        del cyl
-        assert ref() is None
+        t = (-3.0, 3.0)
+        win = ck.window_cylinder(par34, t)
+        ck.bubble_sum_residual(win, t)
+        ck.interaction(win, *t, 1.0, par34.p - 1.0)
+        ck.interaction(win, *t, par34.p / 2.0, par34.p / 2.0)
+        ck.interaction_derivative(win, *t)
+        s = win.grid.s
+        for ti in t:
+            v = win.bubble(ti)
+            assert not v.flags.writeable
+            assert np.array_equal(v, ck.bubble_profile(par34, s, ti))
+            for q in (par34.p - 1.0, par34.p / 2.0):
+                vq = win.bubble_power(ti, q)
+                assert np.array_equal(vq, v ** q) and not vq.flags.writeable
+            assert np.array_equal(win.bubble_ds(ti), ck.bubble_profile_ds(par34, s, ti))
+        win.bubble(0.5)  # a third center drops the oldest
+        assert list(win._translates) == [t[1], 0.5]
+        refs = [weakref.ref(cyl), weakref.ref(win)]
+        del cyl, win
+        assert [ref() for ref in refs] == [None, None]
     finally:
         if enabled:
             gc.enable()
