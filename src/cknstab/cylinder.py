@@ -17,7 +17,6 @@ at roundoff rather than at discretization accuracy.
 """
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -207,36 +206,16 @@ class SphereQuad:
         return c
 
 
-class _SectorBands(Sequence):
-    """The sector operators ``neg_d2.shifted(l(l+n-2) + Lambda)``, l = 0..L,
-    each built on first use: a radial field's residual and dual norm read
-    sector 0's band alone."""
-
-    def __init__(self, neg_d2, shifts):
-        self._neg_d2 = neg_d2
-        self._shifts = shifts
-        self._built = [None] * len(shifts)
-
-    def __len__(self):
-        return len(self._shifts)
-
-    def __getitem__(self, l):
-        band = self._built[l]
-        if band is None:
-            band = self._built[l] = self._neg_d2.shifted(self._shifts[l])
-        return band
-
-
 class Cylinder:
     """Discretization context: parameters, grid, angular rule, and operators.
 
     Builds each derived part once: its -d^2 band ``neg_d2``, which every axial
-    solver reads, now; each sector operator in ``sector_ops``,
-    ``ground_state``, the sharp family's ``corrector`` and ``family_basis``,
-    and the bubble fit's ``fit_inputs`` on first use; and the translates V_t
-    of its two most recent centers, with the powers asked of them
-    (:meth:`bubble_power`).  They hold arrays, never fields, so none refers
-    back to the cylinder, and a dropped cylinder is freed at once."""
+    solver reads, now; each sector operator (:meth:`sector_op`),
+    ``ground_state``, and whatever another module builds from the cylinder
+    alone (:meth:`cached`) on first use; and the translates V_t of its two most
+    recent centers, with the powers asked of them (:meth:`bubble_power`).
+    They hold arrays, never fields, so none refers back to the cylinder, and a
+    dropped cylinder is freed at once."""
 
     def __init__(self, params, grid=None, L=DEFAULT_L, refine=1):
         self.params = params
@@ -245,10 +224,28 @@ class Cylinder:
         self.sphere = SphereQuad(params.n, L=L)
         self.L = self.sphere.L
         self.neg_d2 = Band.neg_d2(self.grid.N, self.grid.h)
-        self.sector_ops = _SectorBands(
-            self.neg_d2, [self.sphere.eigenvalue(l) + params.Lam for l in range(self.L + 1)]
-        )
+        self._sector_ops = {}  # degree l -> its sector operator, built on first use
+        self._cached = {}  # builder -> what it built from this cylinder
         self._translates = {}  # center t -> {q: V_t ** q}, most recent center last
+
+    def sector_op(self, l):
+        """The degree-l sector operator ``neg_d2.shifted(l(l+n-2) + Lambda)``,
+        built on first use: a radial field's residual and dual norm read
+        sector 0's alone."""
+        band = self._sector_ops.get(l)
+        if band is None:
+            band = self._sector_ops[l] = self.neg_d2.shifted(
+                self.sphere.eigenvalue(l) + self.params.Lam
+            )
+        return band
+
+    def cached(self, build):
+        """``build(self)``, built on first use and kept: the hook through which
+        other modules cache what they build from this cylinder alone.
+        ``build`` is a module-level function, so each has one entry."""
+        if build not in self._cached:
+            self._cached[build] = build(self)
+        return self._cached[build]
 
     # -- profile-level helpers -------------------------------------------------
 
@@ -257,34 +254,6 @@ class Cylinder:
         """Discrete ground-state profile (Newton-polished bubble at t = 0)."""
         v0 = _params.bubble_profile(self.params, self.grid.s)
         return newton_ground_state(self.neg_d2, self.params.Lam, self.params.p, v0)
-
-    @cached_property
-    def corrector(self):
-        """The sharp family's second-order corrector; see ``stability.corrector``."""
-        from .stability import _corrector  # local import; stability depends on cylinder
-
-        return _corrector(self)
-
-    @cached_property
-    def family_basis(self):
-        """The sharp family's two basis rows, read-only: the degree-0 row of
-        ``from_radial(ground_state)`` and the degree-1 row of
-        ``from_theta_power(ground_state ** (p/2), 1)``, its only nonzero row.
-        The one source of V0 and Y = V0^{p/2} theta_n for the sharp family,
-        the corrector and the energy route to R."""
-        V = self.ground_state
-        rows = np.outer(self.sphere.theta_power_coeffs(1)[:2], V ** (self.params.p / 2.0))
-        rows[0] = math.sqrt(sphere_area(self.params.n)) * V
-        rows.flags.writeable = False
-        return rows
-
-    @cached_property
-    def fit_inputs(self):
-        """The bubble-manifold fit's inputs that depend on the cylinder alone;
-        see ``stability.nearest_bubble``."""
-        from .stability import _fit_inputs  # local import; stability depends on cylinder
-
-        return _fit_inputs(self)
 
     def bubble(self, t=0.0):
         """The translate V_t on the grid, read-only; see :meth:`bubble_power`."""
@@ -319,7 +288,7 @@ class Cylinder:
     # -- field constructors ----------------------------------------------------
 
     def field(self, profiles):
-        return ZonalField(self, np.asarray(profiles, dtype=float))
+        return ZonalField(self, profiles)
 
     def from_radial(self, profile):
         """Field f(s, theta) = profile(s), no angular dependence."""
@@ -336,13 +305,6 @@ class Cylinder:
     def bubble_field(self, t=0.0):
         """V_t as a field; ``from_radial(ground_state)`` is the discrete V_0."""
         return self.from_radial(self.bubble(t))
-
-    def compatible(self, other):
-        return (
-            self.params == other.params
-            and self.grid == other.grid
-            and self.L == other.L
-        )
 
 
 class ZonalField:
@@ -405,8 +367,8 @@ class ZonalField:
 
 
 def _check_same(f, g):
-    if f.cyl is not g.cyl and not f.cyl.compatible(g.cyl):
-        raise ValueError("fields live on different discretizations")
+    if f.cyl is not g.cyl:
+        raise ValueError("fields live on different cylinders")
 
 
 def duality_pairing(f, g):
@@ -426,7 +388,7 @@ def h1_inner(f, g):
     tot = 0.0
     for l in f.degrees:
         if l in g.degrees:
-            tot += float(f.profiles[l] @ (cyl.sector_ops[l] @ g.profiles[l]))
+            tot += float(f.profiles[l] @ (cyl.sector_op(l) @ g.profiles[l]))
     return cyl.grid.h * tot
 
 

@@ -57,7 +57,7 @@ def apply_H1(v):
     p = cyl.params.p
     out = np.zeros_like(v.profiles)
     for l in v.degrees:
-        out[l] = -(cyl.sector_ops[l] @ v.profiles[l])
+        out[l] = -(cyl.sector_op(l) @ v.profiles[l])
     nonlin, tail = pointwise_map_with_tail(v, lambda z: nonlinearity(z, p))
     if tail > TAIL_BUDGET:
         log.warning("nonlinearity shed %.2e of its angular energy (budget %e)", tail, TAIL_BUDGET)
@@ -77,7 +77,7 @@ def linearized_apply(rho, t=0.0):
     weight = (p - 1.0) * cyl.bubble(t) ** (p - 2.0)
     out = np.zeros_like(rho.profiles)
     for l in rho.degrees:
-        out[l] = cyl.sector_ops[l] @ rho.profiles[l] - weight * rho.profiles[l]
+        out[l] = cyl.sector_op(l) @ rho.profiles[l] - weight * rho.profiles[l]
     return Residual._adopt(cyl, out)
 
 
@@ -96,7 +96,7 @@ def riesz_solve(f):
     _check_conditioning(cyl)
     out = np.zeros_like(f.profiles)
     for l in f.degrees:
-        out[l] = cyl.sector_ops[l].cho_solve(f.profiles[l])
+        out[l] = cyl.sector_op(l).cho_solve(f.profiles[l])
     return ZonalField._adopt(cyl, out)
 
 
@@ -111,7 +111,7 @@ def hminus1_norm(f):
     _check_conditioning(cyl)
     tot = 0.0
     for l in f.degrees:
-        y = cyl.sector_ops[l].cho_half_solve(f.profiles[l])
+        y = cyl.sector_op(l).cho_half_solve(f.profiles[l])
         tot += float(y @ y)
     return math.sqrt(cyl.grid.h * tot)
 

@@ -109,11 +109,11 @@ def nearest_bubble(v):
     smallest objective is the center.  It must beat both ends of the scan, or
     the field is too far from the bubble manifold.  The scan's window, the
     trust scale and the translates at the scan ends depend on the cylinder
-    alone and are read from ``Cylinder.fit_inputs``.
+    alone and are built once per cylinder (:func:`_fit_inputs`).
     """
     cyl = v.cyl
     par = cyl.params
-    fit = cyl.fit_inputs
+    fit = cyl.cached(_fit_inputs)
     vn = h1_norm(v)
     ref = fit.ref
     if not (0.1 * ref <= vn <= 10.0 * ref):
@@ -121,7 +121,7 @@ def nearest_bubble(v):
             f"field norm {vn:.3e} outside the trust range [0.1, 10] x {ref:.3e}"
         )
 
-    u0 = cyl.sector_ops[0] @ v.profiles[0]  # pairing slice: <v, radial g>_H1 = h u0 . g
+    u0 = cyl.sector_op(0) @ v.profiles[0]  # pairing slice: <v, radial g>_H1 = h u0 . g
     root_area = math.sqrt(sphere_area(par.n))
     h = cyl.grid.h
 
@@ -231,7 +231,7 @@ class _FitInputs:
 
 
 def _fit_inputs(cyl):
-    """Build ``Cylinder.fit_inputs``."""
+    """The :class:`_FitInputs` of a cylinder; read through ``cyl.cached``."""
     par, h, N = cyl.params, cyl.grid.h, cyl.grid.N
     js = _scan_lattice(cyl.grid)
     J = int(max(-js[0], js[-1]))
@@ -253,7 +253,7 @@ def _translate(cyl, t):
     """V_t on the grid and its squared H^1 norm."""
     prof = cyl.bubble(t)
     h, area = cyl.grid.h, sphere_area(cyl.params.n)
-    return prof, h * float(prof @ (cyl.sector_ops[0] @ prof)) * area
+    return prof, h * float(prof @ (cyl.sector_op(0) @ prof)) * area
 
 
 def _dbubble_scan(cyl, u0):
@@ -262,10 +262,10 @@ def _dbubble_scan(cyl, u0):
     With m = (N-1)//2, ds V_{jh} on the grid is ds V sampled at s = k h for
     k = -m-j .. m-j: a window of one profile sampled for |k| <= m + max|j|.
     The scan costs one N-long dot product per shift; the window is built once
-    per cylinder (``Cylinder.fit_inputs``).
+    per cylinder (:func:`_fit_inputs`).
     """
     h, N = cyl.grid.h, cyl.grid.N
-    fit = cyl.fit_inputs
+    fit = cyl.cached(_fit_inputs)
     J, ext = fit.J, fit.ext
     root_area = math.sqrt(sphere_area(cyl.params.n))
     gs = [h * float(u0 @ ext[J - j:J - j + N]) * root_area for j in fit.js]
@@ -279,9 +279,22 @@ def _row_field(cyl, l, prof):
     return ZonalField._adopt(cyl, profiles)
 
 
+def _family_basis(cyl):
+    """The sharp family's two basis rows, read-only: the degree-0 row of
+    ``from_radial(ground_state)`` and the degree-1 row of
+    ``from_theta_power(ground_state ** (p/2), 1)``, its only nonzero row.
+    The one source of V0 and Y = V0^{p/2} theta_n for the sharp family,
+    the corrector and the energy route to R; read through ``cyl.cached``."""
+    V = cyl.ground_state
+    rows = np.outer(cyl.sphere.theta_power_coeffs(1)[:2], V ** (cyl.params.p / 2.0))
+    rows[0] = math.sqrt(sphere_area(cyl.params.n)) * V
+    rows.flags.writeable = False
+    return rows
+
+
 def _y_mode_field(cyl, t):
     """The degenerate direction V_t^{p/2} Y_1 of the translate V_t as a field
-    (normalized basis); ``Cylinder.family_basis[1]`` is the discrete V_0's."""
+    (normalized basis); ``_family_basis(cyl)[1]`` is the discrete V_0's."""
     return _row_field(cyl, 1, cyl.bubble(t) ** (cyl.params.p / 2.0))
 
 
@@ -474,12 +487,12 @@ def compute_R_gamma(params):
 def compute_R_energy(cyl, E0, F):
     """Energy route 2 (E0 + F) ||V^{p/2} theta_n||_{H^1}^{-4}.
 
-    The degenerate direction is ``Cylinder.family_basis[1]``, taken with the
+    The degenerate direction is ``_family_basis(cyl)[1]``, taken with the
     raw theta_n angular factor (converted from the stored normalized basis
     through the first sphere moment), matching the convention of the linear
     term inside E0.
     """
-    y = _row_field(cyl, 1, cyl.family_basis[1])
+    y = _row_field(cyl, 1, cyl.cached(_family_basis)[1])
     yy = h1_inner(y, y)
     return 2.0 * (E0 + F) / yy / yy  # yy**2 overflows near p = 2 where R does not
 
@@ -553,9 +566,9 @@ def corrector(cyl):
     V^{2p-3}; eta2 and C0 are explicit in the ground state and two of its
     power integrals.  Everything is assembled from the discrete ground state;
     the cancellation holds up to the stencil's h^4 error, identity_residual_l2.
-    Computed once per cylinder and kept as ``Cylinder.corrector``.
+    Computed once per cylinder and kept through ``cyl.cached``.
     """
-    return cyl.corrector
+    return cyl.cached(_corrector)
 
 
 def _corrector(cyl):
@@ -579,19 +592,18 @@ def _corrector(cyl):
     res = np.zeros_like(eta.profiles)
     weight = (p - 1.0) * V ** (p - 2.0)
     for l in eta.degrees:
-        res[l] = cyl.sector_ops[l] @ eta.profiles[l] - weight * eta.profiles[l]
+        res[l] = cyl.sector_op(l) @ eta.profiles[l] - weight * eta.profiles[l]
     res_field = ZonalField._adopt(cyl, res) + (p - 2.0) * C0 * cyl.from_radial(
         V ** (p - 1.0)
     ) - ((p - 1.0) * (p - 2.0) / 2.0) * cyl.from_theta_power(V ** (2.0 * p - 3.0), 2)
     res_l2 = math.sqrt(l2_norm_sq(res_field))
 
-    v0, y = cyl.family_basis
+    v0, y = cyl.cached(_family_basis)
     vfield, yfield = _row_field(cyl, 0, v0), _row_field(cyl, 1, y)
     dvfield = cyl.from_radial(cyl.bubble_ds())
-    orth = (
-        h1_inner(eta, vfield) / h1_norm(eta) / h1_norm(vfield),
-        h1_inner(eta, dvfield) / h1_norm(eta) / h1_norm(dvfield),
-        h1_inner(eta, yfield) / h1_norm(eta) / h1_norm(yfield),
+    eta_norm = h1_norm(eta)
+    orth = tuple(
+        h1_inner(eta, f) / eta_norm / h1_norm(f) for f in (vfield, dvfield, yfield)
     )
 
     return Corrector(
@@ -615,7 +627,7 @@ def counterexample(cyl, mu):
         )
     # mu^2 eta, plus (1 - C0 mu^2) V0 in degree 0 and mu V0^{p/2} theta_n in
     # degree 1, in one array
-    v0, y = cyl.family_basis
+    v0, y = cyl.cached(_family_basis)
     w = mu * mu * cor.eta
     w[0] += (1.0 - cor.C0 * mu * mu) * v0
     w[1] += mu * y
@@ -624,7 +636,7 @@ def counterexample(cyl, mu):
 
 def naive_family(cyl, mu):
     """The undressed family V0 + mu V0^{p/2} theta_n (quadratic residual)."""
-    v0, y = cyl.family_basis
+    v0, y = cyl.cached(_family_basis)
     w = np.zeros((cyl.L + 1, cyl.grid.N))
     w[0] = v0
     w[1] = mu * y

@@ -29,7 +29,7 @@ def arpack_sector(cyl, ell, k):
     b_full = np.maximum(cyl.ground_state ** (cyl.params.p - 2.0), spectrum.B_FLOOR)
     pairs = []
     for parity in ("even", "odd"):
-        A = cyl.sector_ops[ell].fold(parity)
+        A = cyl.sector_op(ell).fold(parity)
         b = fold_weights(cyl.grid.N, parity) * fold(b_full, parity)
 
         def op(f):
@@ -136,7 +136,7 @@ def test_sector_beyond_rule_matches_stored_band(par34, cyl34):
     small = ck.Cylinder(par34, grid=cyl34.grid, L=1)
     weight = cyl34.ground_state ** (par34.p - 2.0)
     for ell in (2, 5):
-        old = spectrum._pencil_eigenpairs(cyl34.sector_ops[ell], weight, cyl34.grid.quad_w, 2)
+        old = spectrum._pencil_eigenpairs(cyl34.sector_op(ell), weight, cyl34.grid.quad_w, 2)
         new = ck.eigensolve_sector(small, ell, k=2)
         for a, b in zip(old, (new.eigenvalues, new.eigenprofiles, new.residuals)):
             assert np.array_equal(a, b)
@@ -190,7 +190,7 @@ def test_nan_weight_raises(cyl34, where, error):
     weight = cyl34.ground_state ** (cyl34.params.p - 2.0)
     weight[where] = np.nan
     with pytest.raises(error):
-        spectrum._pencil_eigenpairs(cyl34.sector_ops[0], weight, cyl34.grid.quad_w, k=3)
+        spectrum._pencil_eigenpairs(cyl34.sector_op(0), weight, cyl34.grid.quad_w, k=3)
 
 
 def test_non_finite_projection_raises():
@@ -204,4 +204,4 @@ def test_sector_walk_builds_no_sector_band(par34):
     # the walk forms each sector's band itself, with its potential
     cyl = ck.Cylinder(par34, L=1)
     spectrum.sector_walk(cyl)
-    assert cyl.sector_ops._built == [None, None]
+    assert cyl._sector_ops == {}

@@ -58,7 +58,7 @@ def test_nearest_bubble_rejects_center_outside_scan(cyl34):
 
 def test_fit_scan_matches_direct_pairings(par34, cyl34):
     v = cyl34.bubble_field(0.37) + 0.05 * cyl34.from_radial(cyl34.bubble(-2.0) ** 2)
-    u0 = cyl34.sector_ops[0] @ v.profiles[0]
+    u0 = cyl34.sector_op(0) @ v.profiles[0]
     ts, gs = stability._dbubble_scan(cyl34, u0)
     root_area = math.sqrt(ck.sphere_area(par34.n))
     direct = np.array([cyl34.grid.h * float(u0 @ cyl34.bubble_ds(t)) * root_area for t in ts])
@@ -433,6 +433,35 @@ def test_sharpness_study_needs_degree_3(par34):
 def test_corrector_computed_once_per_cylinder(par34):
     cyl = ck.Cylinder(par34, refine=stability.STUDY_REFINE)
     assert ck.corrector(cyl) is ck.corrector(cyl)
+
+
+def test_family_basis_is_the_fields_rows(par34, cyl34):
+    """V0 and Y = V0^{p/2} theta_n of the sharp family are the nonzero rows of
+    the fields they stand for, bit for bit, and read-only."""
+    rows = cyl34.cached(stability._family_basis)
+    V = cyl34.ground_state
+    assert rows.shape == (2, cyl34.grid.N) and not rows.flags.writeable
+    assert np.array_equal(rows[0], cyl34.from_radial(V).profiles[0])
+    assert np.array_equal(rows[1], cyl34.from_theta_power(V ** (par34.p / 2.0), 1).profiles[1])
+    assert cyl34.cached(stability._family_basis) is rows
+
+
+_builds = []
+
+
+def _counting_build(cyl):
+    _builds.append(cyl)
+    return object()
+
+
+def test_cached_builds_once_per_cylinder(par34):
+    first, second = ck.Cylinder(par34, L=1), ck.Cylinder(par34, L=1)
+    _builds.clear()
+    got = first.cached(_counting_build)
+    assert first.cached(_counting_build) is got and _builds == [first]
+    assert second.cached(_counting_build) is not got
+    assert _builds == [first, second]
+    _builds.clear()
 
 
 def test_corrector_does_not_keep_its_cylinder_alive(par34):
