@@ -22,8 +22,6 @@ from .multibubble import (
     bubble_sum_residual,
     interaction,
     interaction_derivative,
-    moduli,
-    weight_profiles,
     window_cylinder,
 )
 from .operators import (
@@ -31,7 +29,6 @@ from .operators import (
     apply_H1,
     bvp_solve,
     hminus1_norm,
-    linearized_apply,
     riesz_solve,
 )
 from .params import (

@@ -4,9 +4,8 @@ of bubbles.
 The controlling small quantity for a configuration with centers t_1 < ... <
 t_nu is Q = exp(-sqrt(Lambda) R) with R the minimal gap.  The module computes
 the pairwise interaction integrals together with their predicted exponential
-asymptotics, the modulus functions that appear in the remainder estimates,
-the piecewise exponential weights W1/W2/W3 with their sup-norms, and the dual
-norm of the residual of a bubble sum.
+asymptotics, the piecewise exponential weights W1/W2 with their sup-norms,
+and the dual norm of the residual of a bubble sum.
 """
 
 import math
@@ -22,14 +21,13 @@ __all__ = [
     "window_cylinder",
     "interaction",
     "interaction_derivative",
-    "moduli",
-    "weight_profiles",
     "bubble_sum_residual",
     "MultiBubbleDiagnostics",
 ]
 
 MARGIN = 30.0      # grid margin beyond the outermost center, in 1/sqrt(Lam)
 MAX_CENTER = 500.0  # admissible |t|, in 1/sqrt(Lam)
+ZETA = 0.01         # the weights decay like phi^{1 - ZETA} away from the centers
 
 
 @dataclass(frozen=True)
@@ -38,7 +36,6 @@ class BubbleConfig:
 
     params: object
     centers: tuple
-    zeta: float = 0.01
 
     def __post_init__(self):
         c = tuple(float(t) for t in self.centers)
@@ -46,8 +43,6 @@ class BubbleConfig:
             raise ValueError("need at least one center")
         if not all(b > a for a, b in zip(c, c[1:])):
             raise ValueError("centers must be strictly increasing")
-        if not 0.0 < self.zeta < 1.0:
-            raise ValueError(f"zeta must lie in (0, 1), got {self.zeta}")
         object.__setattr__(self, "centers", c)
 
     @property
@@ -116,81 +111,34 @@ def interaction_derivative(cyl, t1, t2):
     return sphere_area(cyl.params.n) * cyl.quad_s(vals)
 
 
-def moduli(kind, p, x, nu=2):
-    """The modulus functions governing the remainder estimates.
-
-    kind = "F1": identity for p > 3 or a single bubble, x |ln x|^{1/2} + x at
-    p = 3, and x^{(p-1)/2} for 2 < p < 3 (multi-bubble branches).
-    kind = "F2": x^2 for p >= 3, x^{p-1} below.
-    kind = "F3": identity for p > 3, x^{(p-1)/2} (-ln x)^{(p-1)/p} for p <= 3.
-    """
-    if p <= 2:
-        raise ValueError(f"p must exceed 2, got {p}")
-    if x <= 0.0:
-        raise ValueError(f"argument must be positive, got {x}")
-    if kind == "F1":
-        if p > 3 or nu == 1:
-            return x
-        if x >= 1.0:
-            raise ValueError("log-bearing branch needs 0 < x < 1")
-        if p == 3:
-            return x * math.sqrt(abs(math.log(x))) + x
-        return x ** ((p - 1.0) / 2.0)
-    if kind == "F2":
-        return x * x if p >= 3 else x ** (p - 1.0)
-    if kind == "F3":
-        if p > 3:
-            return x
-        if x >= 1.0:
-            raise ValueError("log-bearing branch needs 0 < x < 1")
-        return x ** ((p - 1.0) / 2.0) * (-math.log(x)) ** ((p - 1.0) / p)
-    raise ValueError(f"unknown modulus kind {kind!r}")
-
-
-def weight_profiles(config, s):
-    """The comparison weights W1, W2, W3 of a configuration, evaluated on s.
-
-    Piecewise exponentials built from phi_i(s) = exp(-sqrt(Lam)|s - t_i|):
-    inner windows carry the neighbour scale Q_{i,i+1} with power p-3 profiles,
-    outer tails decay like phi^{1 - zeta}, and unit neighbourhoods of the
-    centers sit at the global scale Q.
-    """
-    if config.nu < 2:
-        raise ValueError("weights are defined for nu >= 2 configurations")
-    s = np.asarray(s, dtype=float)
-    phi = _decays(config, s)
-    return (_windowed_weight(config, s, phi, 1), _cell_weight(config, s, phi),
-            _windowed_weight(config, s, phi, 2))
-
-
 def _decays(config, s):
     """phi_i(s) = exp(-sqrt(Lam)|s - t_i|) for each center t_i."""
     return [np.exp(-config.params.sqrt_lam * np.abs(s - ti)) for ti in config.centers]
 
 
-def _windowed_weight(config, s, phi, d):
-    """W1 (d = 1) or W3 (d = 2): the weight that keeps distance d from the centers."""
+def _windowed_weight(config, s, phi):
+    """W1: the weight that keeps distance 1 from the centers."""
     p, t, nu = config.params.p, config.centers, config.nu
     W = np.zeros_like(s)
     for i in range(nu - 1):
         Qn = config.Q_pair(i, i + 1)
         mid = 0.5 * (t[i] + t[i + 1])
-        W += Qn * phi[i] ** (p - 3.0) * ((t[i] + d <= s) & (s <= mid))
-        W += Qn * phi[i + 1] ** (p - 3.0) * ((mid <= s) & (s <= t[i + 1] - d))
-    W += config.Q_pair(nu - 2, nu - 1) * phi[-1] ** (1 - config.zeta) * (s >= t[-1] + d)
-    W += config.Q_pair(0, 1) * phi[0] ** (1 - config.zeta) * (s <= t[0] - d)
+        W += Qn * phi[i] ** (p - 3.0) * ((t[i] + 1 <= s) & (s <= mid))
+        W += Qn * phi[i + 1] ** (p - 3.0) * ((mid <= s) & (s <= t[i + 1] - 1))
+    W += config.Q_pair(nu - 2, nu - 1) * phi[-1] ** (1 - ZETA) * (s >= t[-1] + 1)
+    W += config.Q_pair(0, 1) * phi[0] ** (1 - ZETA) * (s <= t[0] - 1)
     for ti in t:
-        W += config.Q * ((ti - d <= s) & (s <= ti + d))
+        W += config.Q * ((ti - 1 <= s) & (s <= ti + 1))
     return W
 
 
 def _cell_weight(config, s, phi):
-    """W2: the global scale Q times phi_i^{1 - zeta} on the cell of each center."""
+    """W2: the global scale Q times phi_i^{1 - ZETA} on the cell of each center."""
     t = config.centers
     W = np.zeros_like(s)
     edges = [-np.inf] + [0.5 * (a + b) for a, b in zip(t, t[1:])] + [np.inf]
     for i in range(config.nu):
-        W += config.Q * phi[i] ** (1 - config.zeta) * ((edges[i] <= s) & (s < edges[i + 1]))
+        W += config.Q * phi[i] ** (1 - ZETA) * ((edges[i] <= s) & (s < edges[i + 1]))
     return W
 
 
@@ -228,7 +176,7 @@ def bubble_sum_residual(cyl, centers):
         if p >= 4.0:
             norm_index, weight = 2, _cell_weight(config, s, phi)
         else:
-            norm_index, weight = 1, _windowed_weight(config, s, phi, 1)
+            norm_index, weight = 1, _windowed_weight(config, s, phi)
         gap_norm = _weighted_sup(gap_fn, weight)
         ratio = res / config.Q
     else:

@@ -1,4 +1,4 @@
-"""The cylinder operator, its linearization, and the dual-norm machinery.
+"""The cylinder operator, the dual-norm machinery, and the axial solves.
 
 The distributional residual of a field v is
 
@@ -23,7 +23,6 @@ from .cylinder import ZonalField, pointwise_map_with_tail
 __all__ = [
     "Residual",
     "apply_H1",
-    "linearized_apply",
     "riesz_solve",
     "hminus1_norm",
     "bvp_solve",
@@ -64,21 +63,6 @@ def apply_H1(v):
     r = Residual._adopt(cyl, out + nonlin.profiles)
     r.tail_fraction = tail
     return r
-
-
-def linearized_apply(rho, t=0.0):
-    """-rho_ss - Delta_theta rho + Lambda rho - (p-1) V_t^{p-2} rho.
-
-    The potential is radial, so it acts on each harmonic profile directly; no
-    angular synthesis is involved and no tail is shed.
-    """
-    cyl = rho.cyl
-    p = cyl.params.p
-    weight = (p - 1.0) * cyl.bubble(t) ** (p - 2.0)
-    out = np.zeros_like(rho.profiles)
-    for l in rho.degrees:
-        out[l] = cyl.sector_op(l) @ rho.profiles[l] - weight * rho.profiles[l]
-    return Residual._adopt(cyl, out)
 
 
 def riesz_solve(f):

@@ -55,7 +55,7 @@ class SectorSpectrum:
     parities: tuple            # axial parity per pair, "even" or "odd"
 
 
-def eigensolve_sector(cyl, ell, k=3, parities=PARITIES):
+def eigensolve_sector(cyl, ell, k, parities=PARITIES):
     """The k smallest eigenvalues of the sector-ell pencil with eigenprofiles,
     over the folded pencils of the given axial parities (both by default).
 

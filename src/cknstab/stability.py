@@ -333,10 +333,10 @@ def compute_F(cyl):
     return (p - 1) * (p - 2) / 4.0 * ((p - 1) * (t2 / lpp) * t2 - (p - 3) / 3.0 * t4)
 
 
-def compute_E0(cyl, eps=0.0):
+def compute_E0(cyl):
     """Constrained minimum of the degenerate quadratic form.
 
-    Minimizes (1-eps)||g||_H1^2 - (p-1) int (V^{p-2} g^2 + (p-2) V^{2p-3}
+    Minimizes ||g||_H1^2 - (p-1) int (V^{p-2} g^2 + (p-2) V^{2p-3}
     th_n^2 g) over fields orthogonal to the ground state, its translation
     mode, and the degenerate directions.  The linear term couples only the
     mean and the second zonal mode, so the problem splits into an
@@ -344,8 +344,6 @@ def compute_E0(cyl, eps=0.0):
     KKT solve (mean mode) on the even half grid, where orthogonality to the
     odd translation mode is automatic.
     """
-    if abs(eps) > 0.1:
-        raise ValueError(f"|eps| <= 0.1 required, got {eps}")
     p, n, Lam = cyl.params.p, cyl.params.n, cyl.params.Lam
     # the forms int u'^2 (a Band), int u^2 and int V^{p-2} u^2 (diagonals)
     # folded onto the even half grid, h included
@@ -357,8 +355,8 @@ def compute_E0(cyl, eps=0.0):
     lin = mass * V ** (2 * p - 3.0)
 
     def form(shift):
-        """(1-eps)(K + shift mass) - (p-1) Bv, the mode's quadratic form."""
-        return ((1.0 - eps) * K.shifted(shift * mass)).shifted(-(p - 1.0) * Bv)
+        """K + shift mass - (p-1) Bv, the mode's quadratic form."""
+        return K.shifted(shift * mass).shifted(-(p - 1.0) * Bv)
 
     area = sphere_area(n)
     m2 = sphere_moment(n, 2) - area / n**2  # int (th_n^2 - 1/n)^2

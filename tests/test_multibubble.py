@@ -13,8 +13,6 @@ def test_config_validation(par34):
         ck.BubbleConfig(params=par34, centers=(1.0, 0.0))
     with pytest.raises(ValueError, match="increasing"):
         ck.BubbleConfig(params=par34, centers=(0.0, math.nan))
-    with pytest.raises(ValueError):
-        ck.BubbleConfig(params=par34, centers=(0.0, 1.0), zeta=0.0)
     cfg = ck.BubbleConfig(params=par34, centers=(-3.0, 0.0, 5.0))
     assert cfg.min_gap == 3.0
     assert cfg.Q == pytest.approx(math.exp(-par34.sqrt_lam * 3.0))
@@ -102,48 +100,15 @@ def test_interaction_derivative_reflection_antisymmetry(par34):
     assert a == pytest.approx(-b, rel=1e-12)
 
 
-# --- modulus functions ------------------------------------------------------
-
-
-def test_moduli_F2_branch_continuity():
-    x = 0.42
-    assert ck.moduli("F2", 3.0, x) == pytest.approx(x ** 2.0, rel=1e-15)
-    assert ck.moduli("F2", 3.0, x) == pytest.approx(x ** (3.0 - 1.0), rel=1e-15)
-
-
-@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
-def test_moduli_F1_dominates_identity(p):
-    for x in np.geomspace(1e-6, math.exp(-1.0), 25):
-        assert ck.moduli("F1", p, x) >= x * (1 - 1e-15)
-
-
-def test_moduli_F3_value():
-    x = 0.01
-    expect = x**0.75 * math.log(100.0) ** 0.6
-    assert ck.moduli("F3", 2.5, x) == pytest.approx(expect, rel=1e-14)
-
-
-def test_moduli_F1_single_bubble_branch():
-    assert ck.moduli("F1", 2.5, 0.3, nu=1) == 0.3
-
-
-def test_moduli_guards():
-    with pytest.raises(ValueError):
-        ck.moduli("F1", 3.0, -0.5)
-    with pytest.raises(ValueError):
-        ck.moduli("F3", 2.5, 1.5)
-    with pytest.raises(ValueError):
-        ck.moduli("F9", 3.0, 0.5)
-
-
 # --- weights and bubble-sum residuals ---------------------------------------
 
 
 def test_weights_positive_and_monotone(par34):
     cfg = ck.BubbleConfig(params=par34, centers=(-4.0, 4.0))
     s = np.linspace(-20.0, 20.0, 4001)
-    W1, W2, W3 = ck.weight_profiles(cfg, s)
-    for W in (W1, W2, W3):
+    phi = mb._decays(cfg, s)
+    W1, W2 = mb._windowed_weight(cfg, s, phi), mb._cell_weight(cfg, s, phi)
+    for W in (W1, W2):
         assert np.all(W >= 0.0)
         assert np.any(W > 0.0)
     # weighted sup-norm is monotone under pointwise domination
@@ -173,7 +138,7 @@ def test_two_bubble_diagnostics(par34):
 
 @pytest.mark.parametrize("n, p, index", [(3, 3.0, 1), (3, 4.0, 2)])
 def test_gap_norm_reads_its_branch_weight(n, p, index):
-    # the residual builds only its branch's weight; it is weight_profiles' own
+    # the residual builds only its branch's weight: W1 for p < 4, W2 for p >= 4
     par = ck.from_pn(p, n)
     gap = 6.0 / par.sqrt_lam
     centers = (-gap / 2.0, gap / 2.0)
@@ -181,7 +146,9 @@ def test_gap_norm_reads_its_branch_weight(n, p, index):
     diag = ck.bubble_sum_residual(cyl, centers)
     V = [ck.bubble_profile(par, cyl.grid.s, t) for t in centers]
     gap_fn = (V[0] + V[1]) ** (p - 1.0) - (V[0] ** (p - 1.0) + V[1] ** (p - 1.0))
-    W = ck.weight_profiles(ck.BubbleConfig(params=par, centers=centers), cyl.grid.s)[index - 1]
+    cfg = ck.BubbleConfig(params=par, centers=centers)
+    phi = mb._decays(cfg, cyl.grid.s)
+    W = (mb._windowed_weight, mb._cell_weight)[index - 1](cfg, cyl.grid.s, phi)
     mask = W > 0
     assert diag.norm_index == index
     assert diag.nonlinear_gap_norm == float(np.max(np.abs(gap_fn[mask]) / W[mask]))

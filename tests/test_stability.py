@@ -264,21 +264,6 @@ def test_E0_matches_analytic_split(par34, cyl34):
     assert ck.compute_E0(cyl34) == pytest.approx(mean_part + mode2_part, rel=1e-8)
 
 
-def test_E_eps_linear_drift(par34, cyl34):
-    E0 = ck.compute_E0(cyl34)
-    drifts = []
-    for eps in (1e-2, 1e-3):
-        drifts.append(abs(ck.compute_E0(cyl34, eps) - E0) / eps)
-    # O(eps) behaviour: the divided differences agree to first order
-    assert drifts[0] == pytest.approx(drifts[1], rel=0.1)
-    assert drifts[0] < 100.0 * abs(E0)
-
-
-def test_E0_eps_guard(cyl34):
-    with pytest.raises(ValueError):
-        ck.compute_E0(cyl34, eps=0.2)
-
-
 def test_signs_at_reference_point(par34, cyl34):
     E0 = ck.compute_E0(cyl34)
     F = ck.compute_F(cyl34)
