@@ -15,8 +15,7 @@ reads as the flag ``--key value`` placed before the command line, so explicit
 flags win, and a key for a flag the command does not take is a usage error.
 A sweep keeps the rows of points that failed, with their ``error`` column
 filled, and then exits with status 3.
-``sharpness`` builds its grid at ``stability.STUDY_REFINE``, and once more at
-twice that where the corrector defect exceeds ``stability.CORRECTOR_BOUND``.
+``sharpness`` takes its grid from ``stability.study_cylinder``.
 """
 
 import argparse
@@ -279,11 +278,7 @@ def cmd_sharpness(cfg):
     ]
 
     def point_rows(p, n):
-        cyl = Cylinder(from_pn(p, n), L=cfg["L"], refine=stab.STUDY_REFINE)
-        if stab.corrector(cyl).identity_residual_l2 > stab.CORRECTOR_BOUND:
-            # the defect falls about 16x per halving of h; one rebuild, no more
-            cyl = Cylinder(cyl.params, L=cyl.L, refine=2 * stab.STUDY_REFINE)
-        rep = stab.sharpness_study(cyl, cfg["mu"])
+        rep = stab.sharpness_study(stab.study_cylinder(from_pn(p, n), cfg["L"]), cfg["mu"])
         for i, mu in enumerate(rep.mus):
             yield {
                 "n": n, "p": p, "kind": "sample", "mu": float(mu),

@@ -413,15 +413,15 @@ def lp_norm(f, q):
 def pointwise_map_with_tail(f, fn):
     """Apply a scalar map pointwise and project back onto degrees l <= L.
 
-    Returns the projected field and ``tail``, the share of ||fn(f)||^2, by the
-    tensor quadrature, that the projection misses (clipped at 0; 0.0 when
-    fn(f) vanishes).  The projection is exact (up to roundoff) whenever fn(f)
-    is band-limited at degree L.  When ``f.degrees`` holds no degree above 0,
-    f is constant on each sphere, equal to Y_0 times its degree-0 profile, and
-    so is fn(f): the result is ``fn(Y_0 f_0) / Y_0`` in degree 0 and zero in
-    every other degree, and the tail is exactly 0.0, with no tensor grid
-    built.  Any other field is mapped on the (N, M) tensor grid and all L + 1
-    degrees are projected.
+    Returns the projected (L+1, N) array, fresh and writable, and ``tail``,
+    the share of ||fn(f)||^2, by the tensor quadrature, that the projection
+    misses (clipped at 0; 0.0 when fn(f) vanishes).  The projection is exact
+    (up to roundoff) whenever fn(f) is band-limited at degree L.  When
+    ``f.degrees`` holds no degree above 0, f is constant on each sphere, equal
+    to Y_0 times its degree-0 profile, and so is fn(f): the result is
+    ``fn(Y_0 f_0) / Y_0`` in degree 0 and zero in every other degree, and the
+    tail is exactly 0.0, with no tensor grid built.  Any other field is mapped
+    on the (N, M) tensor grid and all L + 1 degrees are projected.
 
     The tensor grid is walked in axial blocks of ``BLOCK_VALUES // M`` rows,
     rounded down to a multiple of 16: each block is synthesized, mapped,
@@ -439,7 +439,7 @@ def pointwise_map_with_tail(f, fn):
         y0 = cyl.sphere.Y[0, 0]  # the constant, normalized degree-0 harmonic
         proj = np.zeros_like(f.profiles)
         proj[0] = fn(y0 * f.profiles[0]) / y0
-        return ZonalField._adopt(cyl, proj), 0.0
+        return proj, 0.0
     Y, w = cyl.sphere.Y, cyl.sphere.w
     wY = w[:, None] * Y.T
     rows = max(BLOCK_VALUES // cyl.sphere.M // 16, 1) * 16
@@ -453,5 +453,5 @@ def pointwise_map_with_tail(f, fn):
     total = sq @ cyl.grid.quad_w
     kept = float(np.sum(proj**2 @ cyl.grid.quad_w))
     tail = max(total - kept, 0.0) / total if total > 0 else 0.0
-    return ZonalField._adopt(cyl, proj), tail
+    return proj, tail
 

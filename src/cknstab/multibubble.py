@@ -22,7 +22,6 @@ __all__ = [
     "interaction",
     "interaction_derivative",
     "bubble_sum_residual",
-    "MultiBubbleDiagnostics",
 ]
 
 MARGIN = 30.0      # grid margin beyond the outermost center, in 1/sqrt(Lam)

@@ -47,20 +47,20 @@ class Residual(ZonalField):
 def apply_H1(v):
     """Residual v_ss + Delta_theta v - Lambda v + |v|^{p-2} v of a field.
 
-    The linear part runs the band matvec only in ``v.degrees``, and the
+    The residual is formed in the projected nonlinearity's array, with the
+    band matvec of each sector in ``v.degrees`` subtracted from its row.  The
     nonlinearity touches only degree 0 when v has no angular dependence (see
     :func:`pointwise_map_with_tail`); then the result is zero in every sector
     l > 0 and its ``tail_fraction`` is exactly 0.0.
     """
     cyl = v.cyl
     p = cyl.params.p
-    out = np.zeros_like(v.profiles)
-    for l in v.degrees:
-        out[l] = -(cyl.sector_op(l) @ v.profiles[l])
-    nonlin, tail = pointwise_map_with_tail(v, lambda z: nonlinearity(z, p))
+    out, tail = pointwise_map_with_tail(v, lambda z: nonlinearity(z, p))
     if tail > TAIL_BUDGET:
         log.warning("nonlinearity shed %.2e of its angular energy (budget %e)", tail, TAIL_BUDGET)
-    r = Residual._adopt(cyl, out + nonlin.profiles)
+    for l in v.degrees:
+        out[l] -= cyl.sector_op(l) @ v.profiles[l]
+    r = Residual._adopt(cyl, out)
     r.tail_fraction = tail
     return r
 

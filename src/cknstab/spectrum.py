@@ -33,7 +33,7 @@ import numpy as np
 
 from ._discrete import fold, fold_weights, unfold
 
-__all__ = ["SectorSpectrum", "eigensolve_sector", "gamma3", "sector_walk"]
+__all__ = ["SectorSpectrum", "eigensolve_sector", "gamma3"]
 
 B_FLOOR = 1e-300  # keeps the pencil definite where the weight underflows
 GAP_MARGIN = 1e-6  # a gap candidate must exceed p - 1 by more than this

@@ -26,6 +26,7 @@ import numpy as np
 
 from ._discrete import fold, fold_weights, nonlinearity
 from .cylinder import (
+    Cylinder,
     ZonalField,
     gauss_gegenbauer,
     h1_inner,
@@ -40,7 +41,6 @@ from .params import bubble_profile_ds
 __all__ = [
     "BubbleFit",
     "StabilityConstants",
-    "Corrector",
     "SharpnessReport",
     "nearest_bubble",
     "project_Y",
@@ -610,6 +610,16 @@ def _corrector(cyl):
         identity_residual_l2=res_l2,
         orthogonality=orth,
     )
+
+
+def study_cylinder(params, L):
+    """The sharpness study's grid: refine ``STUDY_REFINE``, rebuilt once at
+    twice that where the corrector defect there exceeds ``CORRECTOR_BOUND``."""
+    cyl = Cylinder(params, L=L, refine=STUDY_REFINE)
+    if corrector(cyl).identity_residual_l2 > CORRECTOR_BOUND:
+        # the defect falls about 16x per halving of h; one rebuild, no more
+        cyl = Cylinder(params, L=L, refine=2 * STUDY_REFINE)
+    return cyl
 
 
 def counterexample(cyl, mu):

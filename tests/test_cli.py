@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import cknstab as ck
-from cknstab import _lapack, cli
+from cknstab import _lapack, cli, stability
 from cknstab import spectrum as spec_mod
 from cknstab._discrete import Band
 from cknstab._oracles import solvable_gamma
@@ -114,9 +114,11 @@ def test_empty_pair_list_is_success(tmp_path):
 
 
 def coarse_cylinders(monkeypatch):
-    """Give every Cylinder the CLI builds a 129-point grid, which its spacing check refuses."""
-    monkeypatch.setattr(cli, "Cylinder", lambda params, L, refine=1:
-                        ck.Cylinder(params, grid=ck.Grid(S=40.0, N=129), L=L))
+    """Give every Cylinder the CLI builds, the study grid included, a 129-point
+    grid, which its spacing check refuses."""
+    coarse = lambda params, L, refine=1: ck.Cylinder(params, grid=ck.Grid(S=40.0, N=129), L=L)
+    monkeypatch.setattr(cli, "Cylinder", coarse)
+    monkeypatch.setattr(stability, "Cylinder", coarse)
 
 
 def test_failed_row_sets_exit_status(tmp_path, capsys, monkeypatch):
@@ -423,6 +425,7 @@ def test_sharpness_refines_once_on_a_large_corrector_defect(tmp_path, monkeypatc
         return ck.Cylinder(params, L=L, refine=refine)
 
     monkeypatch.setattr(cli, "Cylinder", recorded)
+    monkeypatch.setattr(stability, "Cylinder", recorded)
     out = tmp_path / "s.json"
     assert cli.main(["sharpness", "--n", "3", "--p", str(p), "--format", "json",
                      "--out", str(out)]) == 0

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import cknstab as ck
-from cknstab import _lapack
-from cknstab.cylinder import duality_pairing
+from cknstab import _lapack, stability
+from cknstab._discrete import nonlinearity
+from cknstab.cylinder import duality_pairing, pointwise_map_with_tail
 from cknstab._oracles import bubble_mass_exact
 from cknstab.operators import TAIL_BUDGET, Residual
 
@@ -82,6 +84,56 @@ def test_apply_H1_tail_diagnostic(cyl34):
     )
     out = ck.apply_H1(w)
     assert out.tail_fraction <= 1e-8
+
+
+@pytest.fixture(scope="module")
+def members(par34):
+    """A sharp-family member on the study grid at each degree the tests read."""
+    return {L: ck.counterexample(ck.Cylinder(par34, L=L, refine=stability.STUDY_REFINE), 0.01)
+            for L in (3, 8, 64)}
+
+
+def two_array_residual(v):
+    """The residual as the sum of two full arrays: the negated band matvecs in
+    the rows of ``v.degrees``, and the projected nonlinearity."""
+    cyl = v.cyl
+    out = np.zeros_like(v.profiles)
+    for l in v.degrees:
+        out[l] = -(cyl.sector_op(l) @ v.profiles[l])
+    proj, _ = pointwise_map_with_tail(v, lambda z: nonlinearity(z, cyl.params.p))
+    return out + proj
+
+
+@pytest.mark.parametrize("L", [3, 8, 64])
+def test_apply_H1_matches_the_two_array_sum(members, L):
+    v = members[L]
+    assert np.array_equal(ck.apply_H1(v).profiles, two_array_residual(v))
+
+
+def test_apply_H1_of_radial_field_matches_the_two_array_sum(cyl34):
+    v = cyl34.bubble_field(1.7)
+    assert np.array_equal(ck.apply_H1(v).profiles, two_array_residual(v))
+
+
+def _apply_H1_peak(v):
+    """Peak bytes traced inside apply_H1 on a warmed cylinder, in units of one
+    (L+1, N) float array."""
+    ck.apply_H1(v)  # builds the sector bands the call reads
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        r = ck.apply_H1(v)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / r.profiles.nbytes
+
+
+def test_apply_H1_builds_its_residual_in_one_array(members, cyl34):
+    # the tensor path holds the projection and the kept energy's proj**2
+    assert _apply_H1_peak(members[64]) < 2.5
+    # the radial path holds the projection and one row of the band matvec
+    assert _apply_H1_peak(cyl34.bubble_field(1.7)) < 1.5
 
 
 @pytest.mark.parametrize("n, p", [(3, 4.0), (3, 3.0), (2, 4.0), (3, 3.9213), (4, 2.9371)])

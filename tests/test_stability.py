@@ -381,7 +381,7 @@ def test_counterexample_mu_guard(study34):
 
 
 def test_counterexample_refuses_a_large_corrector_defect():
-    # at high p the refine-2 defect is 1.7e-7; the CLI rebuilds at refine 4 there
+    # at high p the refine-2 defect is 1.7e-7; study_cylinder rebuilds at refine 4 there
     cyl = ck.Cylinder(ck.from_pn(5.98, 3), refine=stability.STUDY_REFINE)
     assert ck.corrector(cyl).identity_residual_l2 > stability.CORRECTOR_BOUND == 1e-7
     with pytest.raises(ArithmeticError, match="exceeds 1e-07 on this grid"):
@@ -413,6 +413,14 @@ def test_sharpness_study_needs_degree_3(par34):
     cyl = ck.Cylinder(par34, L=stability.STUDY_MIN_L - 1, refine=stability.STUDY_REFINE)
     with pytest.raises(ValueError, match="degree L >= 3 required, got 2"):
         ck.sharpness_study(cyl, np.geomspace(1e-3, 3e-2, 7))
+
+
+# the refine-2 corrector defect is 1.7e-8 at p = 4 and 1.7e-7 at p = 5.98
+@pytest.mark.parametrize("p, refine, other", [(4.0, 2, 4), (5.98, 4, 2)])
+def test_study_cylinder_refines_once(p, refine, other):
+    par = ck.from_pn(p, 3)
+    grid = stability.study_cylinder(par, stability.STUDY_MIN_L).grid
+    assert grid.N == ck.default_grid(par, refine).N != ck.default_grid(par, other).N
 
 
 def test_corrector_computed_once_per_cylinder(par34):
