@@ -13,8 +13,8 @@ other flag is a usage error.  Output is CSV (default) or JSON; identical
 flags give identical bytes.  Each line ``key = value`` of a --config file
 reads as the flag ``--key value`` placed before the command line, so explicit
 flags win, and a key for a flag the command does not take is a usage error.
-A sweep keeps the rows of points that failed, with their ``error`` column
-filled, and then exits with status 3.
+A sweep keeps one row for each point, or ``interactions`` gap, that fails,
+with every column present and ``error`` filled, and then exits with status 3.
 ``sharpness`` takes its grid from ``stability.study_cylinder``.
 """
 
@@ -176,7 +176,7 @@ def emit(cfg, columns, rows, meta):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_fmt(r.get(c, "")) for c in columns] for r in rows)
+        writer.writerows([_fmt(r[c]) for c in columns] for r in rows)
         text = buf.getvalue()
     else:
         text = json.dumps({"meta": meta, "rows": rows}, indent=2, sort_keys=True) + "\n"
@@ -198,27 +198,35 @@ def _meta(cfg):
     return meta
 
 
-def _sweep(cfg, columns, point_rows, **error_cells):
+def _error_text(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _sweep(cfg, columns, point_rows):
     """Emit the rows ``point_rows(p, n)`` yields at every pair; return the exit status.
 
-    A point that raises keeps the rows it yielded before and adds one row with
-    ``error_cells`` and the ``error`` column filled; the sweep goes on.  The
-    warnings a point raises are shown once it succeeds and dropped when it
-    fails, since its error row gives the reason.  The status is 3 when any
-    row carries an error (summarized on stderr), else 0.
+    Each row gets ``n``, ``p`` and an empty ``error``.  A yielded row that names
+    an ``error``, and the row added for a point that raises, is an error row:
+    each of ``columns`` is blank but for the cells it names, and ``kind``, where
+    there is one, reads ``error``.  The sweep goes on.  A point's warnings are
+    shown only when all its rows are clean.  The status is 3 when any row
+    carries an error (summarized on stderr), else 0.
     """
+    blank = {c: "error" if c == "kind" else "" for c in columns}
     rows = []
     for p, n in cfg["pairs"]:
+        start = len(rows)
         with warnings.catch_warnings(record=True) as caught:
             try:
-                rows.extend(point_rows(p, n))
+                for cells in point_rows(p, n):
+                    base = blank if "error" in cells else {"error": ""}
+                    rows.append({"n": n, "p": p, **base, **cells})
             except Exception as exc:  # keep the sweep alive, record the failure
-                rows.append({"n": n, "p": p, **error_cells,
-                             "error": f"{type(exc).__name__}: {exc}"})
-                caught.clear()
-        for w in caught:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
-    emit(cfg, columns, rows, _meta(cfg))
+                rows.append({"n": n, "p": p, **blank, "error": _error_text(exc)})
+        if not any(r["error"] for r in rows[start:]):
+            for w in caught:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+    emit(cfg, ["n", "p", *columns, "error"], rows, _meta(cfg))
     failed = sum(1 for r in rows if r["error"])
     if not failed:
         return 0
@@ -227,11 +235,8 @@ def _sweep(cfg, columns, point_rows, **error_cells):
 
 
 def cmd_constants(cfg):
-    columns = [
-        "n", "p", "E0", "F", "E0_over_F_plus_1", "R_energy", "R_gamma",
-        "rel_discrepancy", "series_terms", "tail_bound", "residual_floor",
-        "grid_signature", "error",
-    ]
+    columns = ["E0", "F", "E0_over_F_plus_1", "R_energy", "R_gamma", "rel_discrepancy",
+               "series_terms", "tail_bound", "residual_floor", "grid_signature"]
 
     def point_rows(p, n):
         # the constants read sectors 0 and 1 only, so the smallest angular rule will do
@@ -239,21 +244,19 @@ def cmd_constants(cfg):
         sc = stab.stability_constants(cyl)
         floor = hminus1_norm(apply_H1(cyl.bubble_field()))
         yield {
-            "n": n, "p": p, "E0": sc.E0, "F": sc.F,
-            "E0_over_F_plus_1": sc.E0 / sc.F + 1.0,
+            "E0": sc.E0, "F": sc.F, "E0_over_F_plus_1": sc.E0 / sc.F + 1.0,
             "R_energy": sc.R_energy, "R_gamma": sc.R_gamma,
             "rel_discrepancy": abs(sc.R_energy - sc.R_gamma) / sc.R_gamma,
             "series_terms": sc.series_terms, "tail_bound": sc.tail_bound,
-            "residual_floor": floor, "grid_signature": sc.grid_signature,
-            "error": "",
+            "residual_floor": floor,
+            "grid_signature": (f"N={cyl.grid.N};S={cyl.grid.S:.6g};L={cyl.L};"
+                               f"M={cyl.sphere.M};h={cyl.grid.h:.6g}"),
         }
 
     return _sweep(cfg, columns, point_rows)
 
 
 def cmd_spectrum(cfg):
-    columns = ["n", "p", "ell", "index", "gamma", "residual", "grid_signature", "error"]
-
     def point_rows(p, n):
         # the walk forms each sector's band itself and reads no angular rule
         cyl = Cylinder(from_pn(p, n), L=1)
@@ -261,72 +264,72 @@ def cmd_spectrum(cfg):
         g3, spectra = spec_mod.sector_walk(cyl)
         for spec in spectra[:2]:
             for i, (g, r) in enumerate(zip(spec.eigenvalues, spec.residuals)):
-                yield {"n": n, "p": p, "ell": spec.ell, "index": i,
-                       "gamma": float(g), "residual": float(r),
-                       "grid_signature": sig, "error": ""}
-        yield {"n": n, "p": p, "ell": "all", "index": "gamma3", "gamma": g3,
-               "residual": 0.0, "grid_signature": sig, "error": ""}
+                yield {"ell": spec.ell, "index": i, "gamma": float(g),
+                       "residual": float(r), "grid_signature": sig}
+        yield {"ell": "all", "index": "gamma3", "gamma": g3, "residual": 0.0,
+               "grid_signature": sig}
 
-    return _sweep(cfg, columns, point_rows, ell="", index="", gamma="",
-                  residual="", grid_signature="")
+    return _sweep(cfg, ["ell", "index", "gamma", "residual", "grid_signature"], point_rows)
 
 
 def cmd_sharpness(cfg):
-    columns = [
-        "n", "p", "kind", "mu", "residual", "distance", "proj_norm",
-        "perp_distance", "naive_residual", "ratio", "error",
-    ]
+    columns = ["kind", "mu", "residual", "distance", "proj_norm", "perp_distance",
+               "naive_residual", "ratio"]
 
     def point_rows(p, n):
         rep = stab.sharpness_study(stab.study_cylinder(from_pn(p, n), cfg["L"]), cfg["mu"])
         for i, mu in enumerate(rep.mus):
             yield {
-                "n": n, "p": p, "kind": "sample", "mu": float(mu),
+                "kind": "sample", "mu": float(mu),
                 "residual": float(rep.residuals[i]),
                 "distance": float(rep.distances[i]),
                 "proj_norm": float(rep.proj_norms[i]),
                 "perp_distance": float(rep.perp_distances[i]),
                 "naive_residual": float(rep.naive_residuals[i]),
-                "ratio": float(rep.ratios[i]), "error": "",
+                "ratio": float(rep.ratios[i]),
             }
         yield {
-            "n": n, "p": p, "kind": "slopes", "mu": "",
+            "kind": "slopes", "mu": "",
             "residual": rep.residual_slope, "distance": rep.distance_slope,
             "proj_norm": rep.proj_slope, "perp_distance": rep.perp_slope,
-            "naive_residual": rep.naive_slope,
-            "ratio": float(rep.ratios[-1]), "error": "",
+            "naive_residual": rep.naive_slope, "ratio": float(rep.ratios[-1]),
         }
 
-    return _sweep(cfg, columns, point_rows, kind="error", mu="")
+    return _sweep(cfg, columns, point_rows)
 
 
 def cmd_interactions(cfg):
-    columns = ["n", "p", "kind", "gap", "value", "predicted", "ratio", "error"]
-
     def point_rows(p, n):
         par = from_pn(p, n)
         rl = par.sqrt_lam
         for rel_gap in cfg["gaps"]:
             gap = rel_gap / rl
             t = (-gap / 2, gap / 2)
-            cyl = mb.window_cylinder(par, t)
-            diag = mb.bubble_sum_residual(cyl, t)
-            cells = [
-                ("pair_min_exponent", mb.interaction(cyl, *t, 1.0, p - 1.0), math.exp(-rl * gap)),
-                ("pair_balanced", mb.interaction(cyl, *t, p / 2.0, p / 2.0),
-                 (gap + 1.0) * math.exp(-p * rl / 2.0 * gap)),
-                ("derivative", mb.interaction_derivative(cyl, *t), math.exp(-rl * gap)),
-                ("sum_residual", diag.residual, diag.Q),
-                (f"gap_norm_W{diag.norm_index}", diag.nonlinear_gap_norm, 1.0),
-            ]
-            for kind, val, pred in cells:  # a gap that overflows or underflows is one error row
-                if not (math.isfinite(val) and math.isfinite(pred) and pred != 0.0):
-                    raise ArithmeticError(f"{kind} at gap {gap!r}: {val!r} vs {pred!r}")
+            decay = math.exp(-rl * gap)
+            # the gap loop stays here, with cyl bound to the last window while the
+            # next is built: freeing each window first took 5x the page faults
+            try:
+                cyl = mb.window_cylinder(par, t)
+                diag = mb.bubble_sum_residual(cyl, t)
+                cells = [
+                    ("pair_min_exponent", mb.interaction(cyl, *t, 1.0, p - 1.0), decay),
+                    ("pair_balanced", mb.interaction(cyl, *t, p / 2.0, p / 2.0),
+                     (gap + 1.0) * math.exp(-p * rl / 2.0 * gap)),
+                    ("derivative", mb.interaction_derivative(cyl, *t), decay),
+                    ("sum_residual", diag.residual, diag.Q),
+                    (f"gap_norm_W{diag.norm_index}", diag.nonlinear_gap_norm, 1.0),
+                ]
+                for kind, val, pred in cells:  # an overflow or underflow fails its gap
+                    if not (math.isfinite(val) and math.isfinite(pred) and pred != 0.0):
+                        raise ArithmeticError(f"{kind} at gap {gap!r}: {val!r} vs {pred!r}")
+            except Exception as exc:  # the later gaps still run
+                yield {"gap": gap, "error": _error_text(exc)}
+                continue
             for kind, val, pred in cells:
-                yield {"n": n, "p": p, "kind": kind, "gap": gap, "value": val,
-                       "predicted": pred, "ratio": val / pred, "error": ""}
+                yield {"kind": kind, "gap": gap, "value": val, "predicted": pred,
+                       "ratio": val / pred}
 
-    return _sweep(cfg, columns, point_rows, kind="error", gap="")
+    return _sweep(cfg, ["kind", "gap", "value", "predicted", "ratio"], point_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +458,7 @@ def cmd_selftest(cfg):
         try:
             ok, detail = check()
         except Exception as exc:
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
+            ok, detail = False, _error_text(exc)
         failures += not ok
         rows.append({"check": name, "status": "PASS" if ok else "FAIL",
                      "detail": detail})
@@ -467,14 +470,7 @@ def cmd_selftest(cfg):
 
 def main(argv=None):
     cfg = resolve_config(argv)
-    handler = {
-        "constants": cmd_constants,
-        "spectrum": cmd_spectrum,
-        "sharpness": cmd_sharpness,
-        "interactions": cmd_interactions,
-        "selftest": cmd_selftest,
-    }[cfg["command"]]
-    return handler(cfg)
+    return globals()[f"cmd_{cfg['command']}"](cfg)
 
 
 if __name__ == "__main__":

@@ -497,7 +497,7 @@ def compute_R_energy(cyl, E0, F):
 
 @dataclass(frozen=True)
 class StabilityConstants:
-    """The computed constants with their discretization provenance."""
+    """The computed constants, with the R series' term count and tail bound."""
 
     E0: float
     F: float
@@ -505,7 +505,6 @@ class StabilityConstants:
     R_gamma: float
     series_terms: int
     tail_bound: float
-    grid_signature: str
 
     def __post_init__(self):
         if not self.F > 0.0:
@@ -523,10 +522,6 @@ def stability_constants(cyl):
     F = compute_F(cyl)
     Rg, terms, tail = compute_R_gamma(cyl.params)
     Re = compute_R_energy(cyl, E0=E0, F=F)
-    sig = (
-        f"N={cyl.grid.N};S={cyl.grid.S:.6g};L={cyl.L};M={cyl.sphere.M};"
-        f"h={cyl.grid.h:.6g}"
-    )
     return StabilityConstants(
         E0=E0,
         F=F,
@@ -534,7 +529,6 @@ def stability_constants(cyl):
         R_gamma=Rg,
         series_terms=terms,
         tail_bound=tail,
-        grid_signature=sig,
     )
 
 

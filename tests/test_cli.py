@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -253,7 +255,9 @@ def test_constants_json_meta(tmp_path):
     assert doc["meta"]["command"] == "constants"
     row = doc["rows"][0]
     assert row["F"] > 0 and row["E0"] + row["F"] > 0
-    assert row["grid_signature"].startswith("N=")
+    cyl = ck.Cylinder(ck.from_pn(4.0, 3), L=1)
+    assert row["grid_signature"] == (f"N={cyl.grid.N};S={cyl.grid.S:.6g};L=1;"
+                                     f"M={cyl.sphere.M};h={cyl.grid.h:.6g}")
 
 
 def test_config_file_with_override(tmp_path):
@@ -307,18 +311,27 @@ INTERACTION_KINDS = ["pair_min_exponent", "pair_balanced", "derivative",
                      "sum_residual", "gap_norm_W2"]
 
 
-@pytest.mark.parametrize("argv, coarse, clean_kinds, cells", [
-    (["constants"], True, [], {}),
-    (["spectrum"], True, [],
-     {"ell": "", "index": "", "gamma": "", "residual": "", "grid_signature": ""}),
-    (["sharpness"], True, [], {"kind": "error", "mu": ""}),
+CONSTANTS_COLUMNS = ("E0", "F", "E0_over_F_plus_1", "R_energy", "R_gamma", "rel_discrepancy",
+                     "series_terms", "tail_bound", "residual_floor", "grid_signature")
+SHARPNESS_COLUMNS = ("mu", "residual", "distance", "proj_norm", "perp_distance",
+                     "naive_residual", "ratio")
+GAP_600 = 600 / math.sqrt(ck.from_pn(4.0, 3).Lam)
+
+
+@pytest.mark.parametrize("argv, coarse, clean_kinds, blank, cells", [
+    (["constants"], True, [], CONSTANTS_COLUMNS, {}),
+    (["spectrum"], True, [], ("ell", "index", "gamma", "residual", "grid_signature"), {}),
+    (["sharpness"], True, [], SHARPNESS_COLUMNS, {"kind": "error"}),
     (["interactions", "--gaps", "5", "600"], False, INTERACTION_KINDS,
-     {"kind": "error", "gap": ""}),
+     ("value", "predicted", "ratio"), {"kind": "error", "gap": GAP_600}),
     (["sharpness", "--mu", "1e-3", "1e-3", "1e-3", "1e-3", "1e-3"], False, [],
-     {"kind": "error", "mu": ""}),
+     SHARPNESS_COLUMNS, {"kind": "error"}),
 ], ids=["constants", "spectrum", "sharpness", "interactions", "repeated_mu"])
-def test_failed_point_row(tmp_path, capsys, monkeypatch, argv, coarse, clean_kinds, cells):
-    """A failing point keeps the rows it made, adds one error row, and exits 3."""
+def test_failed_point_row(tmp_path, capsys, monkeypatch, argv, coarse, clean_kinds, blank,
+                          cells):
+    """A failing point keeps the rows it made, adds one error row, and exits 3.  The
+    error row holds every column: blank but for n, p, the error, ``kind`` and a
+    failed gap's ``gap``."""
     if coarse:
         coarse_cylinders(monkeypatch)
     out = tmp_path / "f.json"
@@ -331,7 +344,55 @@ def test_failed_point_row(tmp_path, capsys, monkeypatch, argv, coarse, clean_kin
     assert [r["kind"] for r in clean] == clean_kinds
     assert all(r["error"] == "" for r in clean)
     assert failed.pop("error").startswith("ValueError: ")
-    assert failed == {"n": 3, "p": 4.0, **cells}
+    assert failed == {"n": 3, "p": 4.0, **dict.fromkeys(blank, ""), **cells}
+
+
+@pytest.mark.parametrize("argv, coarse", [
+    (["constants"], False), (["constants"], True),
+    (["spectrum"], False), (["spectrum"], True),
+    (["sharpness"], False), (["sharpness"], True),
+    (["interactions", "--gaps", "400", "5"], False),
+], ids=["constants", "constants_error", "spectrum", "spectrum_error", "sharpness",
+        "sharpness_error", "interactions"])
+def test_json_rows_carry_the_csv_header(tmp_path, monkeypatch, argv, coarse):
+    """Clean and error rows alike hold exactly the columns of the command's CSV header."""
+    if coarse:
+        coarse_cylinders(monkeypatch)
+    js, cs = tmp_path / "r.json", tmp_path / "r.csv"
+    for path, fmt in ((js, "json"), (cs, "csv")):
+        cli.main([argv[0], "--n", "3", "--p", "4", *argv[1:], "--format", fmt,
+                  "--out", str(path)])
+    header = cs.read_text().splitlines()[0].split(",")
+    rows = json.loads(js.read_text())["rows"]
+    assert header[:2] == ["n", "p"] and header[-1] == "error"
+    assert any(r["error"] for r in rows) == (coarse or argv[0] == "interactions")
+    assert all(sorted(r) == sorted(header) for r in rows)
+
+
+def test_failed_gap_keeps_the_later_gaps(tmp_path, capsys, monkeypatch, recwarn):
+    """A gap that fails gives its own error row, with its gap, and the later gaps
+    still run; the point's warnings, the clean gap's among them, are dropped."""
+    derivative = cli.mb.interaction_derivative
+
+    def warned(*args):
+        warnings.warn("probe", RuntimeWarning)
+        return derivative(*args)
+
+    monkeypatch.setattr(cli.mb, "interaction_derivative", warned)
+    out = tmp_path / "g.json"
+    assert cli.main(["interactions", "--n", "3", "--p", "4", "--gaps", "400", "5",
+                     "--format", "json", "--out", str(out)]) == 3
+    failed, *clean = json.loads(out.read_text())["rows"]
+    lam = ck.from_pn(4.0, 3).Lam
+    assert failed["kind"] == "error" and failed["gap"] == 400 / math.sqrt(lam)
+    assert failed["error"].startswith("ArithmeticError: pair_balanced at gap ")
+    assert [r["kind"] for r in clean] == INTERACTION_KINDS
+    assert all(r["error"] == "" and r["gap"] == 5 / math.sqrt(lam) for r in clean)
+    assert capsys.readouterr().err == "cknstab: 1 of 6 rows carry an error\n"
+    assert not recwarn.list
+    assert cli.main(["interactions", "--n", "3", "--p", "4", "--gaps", "5", "--out",
+                     str(out)]) == 0
+    assert [str(w.message) for w in recwarn.list] == ["probe"]
 
 
 @pytest.mark.parametrize("n, p, gap, kind", [

@@ -344,14 +344,13 @@ def test_stability_constants_bundle(par34, cyl34):
     sc = ck.stability_constants(cyl34)
     assert sc.F > 0 and sc.E0 + sc.F > 0
     assert abs(sc.R_energy - sc.R_gamma) <= 0.01 * sc.R_gamma
-    assert "N=" in sc.grid_signature
 
 
 def test_stability_constants_validation():
     with pytest.raises(ValueError):
         ck.StabilityConstants(
             E0=-2.0, F=1.0, R_energy=1.0, R_gamma=1.0, series_terms=10,
-            tail_bound=0.0, grid_signature="x",
+            tail_bound=0.0,
         )
 
 
