@@ -1,11 +1,15 @@
-"""Closed forms that the self-test and the test suite check the numerics against.
+"""Closed forms that the numerics start from or are checked against.
 
 Each one is derived independently of the code it checks (Beta and Gamma
 integrals, the explicit flat-space bubble, the Poschl-Teller bound states)
-and uses only ``math``.
+and uses only ``math`` and numpy.  The spectrum starts its Lanczos runs from
+:func:`solvable_starts` and checks its levels against :func:`solvable_gamma`;
+the self-test and the test suite read the rest.
 """
 
 import math
+
+import numpy as np
 
 
 def sphere_moment_beta(n, k):
@@ -39,6 +43,37 @@ def solvable_gamma(params, ell, j):
     """
     nu = j + math.sqrt(ell * (ell + params.n - 2) + params.Lam) / params.alpha
     return (params.p - 2.0) ** 2 * nu * (nu + 1.0) / (2.0 * params.p)
+
+
+def solvable_starts(params, ell, s, k):
+    """The even and the odd Lanczos start of sector ell, sampled at s.
+
+    With z = alpha s, nu0 = sqrt(l(l+n-2) + Lam)/alpha and lam = nu0 + 1/2,
+    the j-th eigenfunction of the continuum pencil of :func:`solvable_gamma`
+    is sech^{nu0}(z) C_j^{(lam)}(tanh z), with C_j the Gegenbauer polynomial
+    (DLMF 18.9.1: (j+1) C_{j+1} = 2(j+lam) t C_j - (j+2lam-1) C_{j-1}).  Even
+    j are even in s and odd j odd.  The even start sums j = 0, 2, ..., 2k and
+    the odd start j = 1, 3, ..., 2k+1, each term scaled to unit length on s.
+    The spectrum samples them on the half grid s >= 0 alone.
+    """
+    z = params.alpha * s
+    nu0 = math.sqrt(ell * (ell + params.n - 2) + params.Lam) / params.alpha
+    lam = nu0 + 0.5
+    t = np.tanh(z)
+    # sech^nu0 z through log cosh z = |z| + log1p(e^{-2|z|}) - log 2, free of overflow
+    a = np.abs(z)
+    env = np.exp(-nu0 * (a + np.log1p(np.exp(-2.0 * a)) - math.log(2.0)))
+    starts = np.zeros((2, z.size))  # rows: the even and the odd start
+    c_prev, c = np.zeros_like(z), np.ones_like(z)
+    for j in range(2 * k + 2):
+        phi = env * c
+        phi /= np.linalg.norm(phi)
+        starts[j % 2] += phi
+        # c_prev <- C_{j+1}, then swap, so c is C_{j+1} and c_prev C_j
+        c_prev *= -(j + 2.0 * lam - 1.0) / (j + 1.0)
+        c_prev += (2.0 * (j + lam) / (j + 1.0)) * t * c
+        c, c_prev = c_prev, c
+    return starts
 
 
 def plane_bubble(params, lam, r):

@@ -35,7 +35,7 @@ from . import multibubble as mb
 from . import spectrum as spec_mod
 from . import stability as stab
 from ._discrete import Band
-from ._oracles import bubble_mass_exact, plane_bubble, sphere_moment_beta
+from ._oracles import bubble_mass_exact, plane_bubble, solvable_gamma, sphere_moment_beta
 from .cylinder import Cylinder, sphere_moment
 from .operators import apply_H1, hminus1_norm, riesz_solve
 from .params import bubble_profile, emden_fowler, from_pn, two_star
@@ -262,14 +262,21 @@ def cmd_spectrum(cfg):
         cyl = Cylinder(from_pn(p, n), L=1)
         sig = f"N={cyl.grid.N};S={cyl.grid.S:.6g}"
         g3, spectra = spec_mod.sector_walk(cyl)
+
+        def oracle_rel(gamma, ell, j):
+            # sectors 0 and 1 are solved over both parities, so row i is level j = i
+            want = solvable_gamma(cyl.params, ell, j)
+            return abs(gamma - want) / want
+
         for spec in spectra[:2]:
             for i, (g, r) in enumerate(zip(spec.eigenvalues, spec.residuals)):
-                yield {"ell": spec.ell, "index": i, "gamma": float(g),
-                       "residual": float(r), "grid_signature": sig}
+                yield {"ell": spec.ell, "index": i, "gamma": float(g), "residual": float(r),
+                       "oracle_rel": oracle_rel(float(g), spec.ell, i), "grid_signature": sig}
         yield {"ell": "all", "index": "gamma3", "gamma": g3, "residual": 0.0,
-               "grid_signature": sig}
+               "oracle_rel": oracle_rel(g3, 0, 2), "grid_signature": sig}
 
-    return _sweep(cfg, ["ell", "index", "gamma", "residual", "grid_signature"], point_rows)
+    return _sweep(cfg, ["ell", "index", "gamma", "residual", "oracle_rel", "grid_signature"],
+                  point_rows)
 
 
 def cmd_sharpness(cfg):

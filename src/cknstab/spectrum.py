@@ -21,10 +21,14 @@ beta_{j+1} |y_{j,i}| (Parlett, ch. 13) is at most KRYLOV_TOL * theta_i.  The
 Krylov size is capped at max(KRYLOV_CAP, 4k) and at the half-grid size: the
 sweep points stop after 10-20 steps, and the crowded levels near p = 2 after
 up to 58.  The Ritz vectors are combined from the solves A^{-1} D q_j, so the
-tiny tail weights are never divided by.  The start vector sqrt(b) is the
-constant vector in x, so reruns give bitwise-identical output.  A pair whose
-relative pencil residual exceeds RESIDUAL_BOUND, or a non-finite projected
-matrix, raises ``ArithmeticError``.
+tiny tail weights are never divided by.  Each sector pencil discretizes a
+Poschl-Teller problem whose eigenfunctions are known in closed form, so each
+parity's run starts from the sum of its first k + 1 of them
+(``_oracles.solvable_starts``); that halves the steps the constant vector
+took, and reruns give bitwise-identical output.  A pair whose relative pencil
+residual exceeds RESIDUAL_BOUND, a level nearer another closed-form level
+than its own (``_oracles.solvable_gamma``), or a non-finite projected matrix
+raises ``ArithmeticError``.
 """
 
 from dataclasses import dataclass
@@ -32,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._discrete import fold, fold_weights, unfold
+from ._oracles import solvable_gamma, solvable_starts
 
 __all__ = ["SectorSpectrum", "eigensolve_sector", "gamma3"]
 
@@ -62,26 +67,40 @@ def eigensolve_sector(cyl, ell, k, parities=PARITIES):
     The sector band is formed here, so any ell >= 0 is solved, whatever the
     cylinder's L.  Profiles are normalized to int V0^{p-2} phi^2 = 1 and
     signed so that the first nonzero lobe from the left of center is
-    positive.  Lanczos starts from the constant vector on each folded parity
-    pencil, so the result is a deterministic function of the cylinder.
-    Raises ``ArithmeticError`` when a pair misses RESIDUAL_BOUND.
+    positive.  Lanczos starts each folded parity pencil from the sum of that
+    parity's first k + 1 closed-form eigenfunctions, so the result is a
+    deterministic function of the cylinder.  Raises ``ArithmeticError`` when
+    a pair misses RESIDUAL_BOUND or a level lies nearer another closed-form
+    level than its own.
     """
     if k < 1 or k > 10:
         raise ValueError("eigenvalue count must satisfy 1 <= k <= 10")
-    weight = cyl.ground_state ** (cyl.params.p - 2.0)
-    A = cyl.neg_d2.shifted(cyl.sphere.eigenvalue(ell) + cyl.params.Lam)
-    return SectorSpectrum(ell, *_pencil_eigenpairs(A, weight, cyl.grid.quad_w, k, parities))
+    par = cyl.params
+    weight = cyl.ground_state ** (par.p - 2.0)
+    A = cyl.neg_d2.shifted(cyl.sphere.eigenvalue(ell) + par.Lam)
+    return SectorSpectrum(ell, *_pencil_eigenpairs(
+        A, weight, cyl.grid.quad_w, k, parities, _sector_starts(cyl, ell, k),
+        lambda j: solvable_gamma(par, ell, j)))
 
 
-def _lanczos(A, b, k):
-    """The k smallest eigenpairs (gamma ascending, x as rows) of A x = gamma diag(b) x."""
+def _sector_starts(cyl, ell, k):
+    """Each parity's folded Lanczos start for k pairs of sector ell: the sum of
+    its first k + 1 closed-form eigenfunctions (``_oracles.solvable_starts``)."""
+    even, odd = solvable_starts(cyl.params, ell, cyl.grid.s[(cyl.grid.N - 1) // 2:], k)
+    return {"even": even, "odd": odd[1:]}
+
+
+def _lanczos(A, b, k, x0=None):
+    """The k smallest eigenpairs (gamma ascending, x as rows) of A x = gamma diag(b) x,
+    from the start x0, or from the constant vector in x when x0 is None."""
     m = min(max(KRYLOV_CAP, 4 * k), A.n)
     checks = range(max(k + 2, 6), m, 2)  # basis sizes at which convergence is tested
     d = np.sqrt(b)
     Q = np.empty((m, A.n))  # orthonormal Lanczos basis in u = d x
     Z = np.empty((m, A.n))  # Z[j] = A^{-1} (d Q[j])
     T = np.zeros((m, m))  # T[:j+1, j] = Q[:j+1] d Z[j], the projection's upper triangle
-    Q[0] = d / np.linalg.norm(d)
+    Q[0] = d if x0 is None else d * x0
+    Q[0] /= np.linalg.norm(Q[0])
     for j in range(m):
         Z[j] = A.cho_solve(d * Q[j])
         if j + 1 == m:
@@ -106,9 +125,14 @@ def _lanczos(A, b, k):
     return 1.0 / theta, Y.T @ Z[:m]
 
 
-def _pencil_eigenpairs(A_full, weight, qw, k, parities=PARITIES):
+def _pencil_eigenpairs(A_full, weight, qw, k, parities=PARITIES, starts=None, oracle=None):
     """The k smallest pairs of A_full phi = gamma weight phi on the full grid,
     over the folded pencils of the given parities.
+
+    Each parity's Lanczos run starts from the folded ``starts[parity]``, or
+    from the constant vector when ``starts`` is None.  Given ``oracle``, with
+    ``oracle(j)`` the j-th closed-form level, each parity's levels pass
+    :func:`_check_levels`.
 
     Returns the eigenvalues, the profiles normalized in the quadrature qw and
     signed as in :func:`eigensolve_sector`, their relative residuals, and the
@@ -119,7 +143,10 @@ def _pencil_eigenpairs(A_full, weight, qw, k, parities=PARITIES):
     pairs = []
     for parity in parities:
         b = fold_weights(N, parity) * fold(b_full, parity)
-        gammas, X = _lanczos(A_full.fold(parity), b, k)
+        x0 = None if starts is None else starts[parity]
+        gammas, X = _lanczos(A_full.fold(parity), b, k, x0)
+        if oracle is not None:
+            _check_levels(gammas, parity, oracle)
         pairs += [(float(g), unfold(x, parity), parity) for g, x in zip(gammas, X)]
     pairs.sort(key=lambda t: t[0])
 
@@ -144,6 +171,22 @@ def _pencil_eigenpairs(A_full, weight, qw, k, parities=PARITIES):
         residuals.append(res)
     return (np.asarray(gammas), np.asarray(profiles), np.asarray(residuals),
             tuple(parity for _, _, parity in pairs[:k]))
+
+
+def _check_levels(gammas, parity, oracle):
+    """Raise ``ArithmeticError`` unless the parity's i-th level lies nearer its
+    own oracle, index 2i (even) or 2i + 1 (odd), than the indices beside it,
+    the nearest others as the oracle increases: a level Lanczos missed would
+    put each later one a whole spacing off."""
+    for i, gamma in enumerate(gammas):
+        j = 2 * i + (parity == "odd")
+        own = abs(gamma - oracle(j))
+        other = min(abs(gamma - oracle(o)) for o in (j - 1, j + 1) if o >= 0)
+        if not own < other:
+            raise ArithmeticError(
+                f"{parity} level {i} = {gamma:.12g} lies nearer another closed-form "
+                f"level than its own, index {j} = {oracle(j):.12g}"
+            )
 
 
 def sector_walk(cyl):

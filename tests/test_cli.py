@@ -320,7 +320,8 @@ GAP_600 = 600 / math.sqrt(ck.from_pn(4.0, 3).Lam)
 
 @pytest.mark.parametrize("argv, coarse, clean_kinds, blank, cells", [
     (["constants"], True, [], CONSTANTS_COLUMNS, {}),
-    (["spectrum"], True, [], ("ell", "index", "gamma", "residual", "grid_signature"), {}),
+    (["spectrum"], True, [], ("ell", "index", "gamma", "residual", "oracle_rel",
+                              "grid_signature"), {}),
     (["sharpness"], True, [], SHARPNESS_COLUMNS, {"kind": "error"}),
     (["interactions", "--gaps", "5", "600"], False, INTERACTION_KINDS,
      ("value", "predicted", "ratio"), {"kind": "error", "gap": GAP_600}),

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator, eigsh
+from scipy.special import eval_gegenbauer
 
 import cknstab as ck
-from cknstab import spectrum
+from cknstab import _oracles, spectrum
 from cknstab._discrete import Band, fold, fold_weights, unfold
 from cknstab._oracles import solvable_gamma
 
@@ -136,7 +137,8 @@ def test_sector_beyond_rule_matches_stored_band(par34, cyl34):
     small = ck.Cylinder(par34, grid=cyl34.grid, L=1)
     weight = cyl34.ground_state ** (par34.p - 2.0)
     for ell in (2, 5):
-        old = spectrum._pencil_eigenpairs(cyl34.sector_op(ell), weight, cyl34.grid.quad_w, 2)
+        old = spectrum._pencil_eigenpairs(cyl34.sector_op(ell), weight, cyl34.grid.quad_w, 2,
+                                          starts=spectrum._sector_starts(cyl34, ell, 2))
         new = ck.eigensolve_sector(small, ell, k=2)
         for a, b in zip(old, (new.eigenvalues, new.eigenprofiles, new.residuals)):
             assert np.array_equal(a, b)
@@ -205,3 +207,92 @@ def test_sector_walk_builds_no_sector_band(par34):
     cyl = ck.Cylinder(par34, L=1)
     spectrum.sector_walk(cyl)
     assert cyl._sector_ops == {}
+
+
+def closed_form_term(par, ell, s, j):
+    """The j-th closed-form eigenfunction of sector ell at unit length on s: the
+    start of j//2 + 1 terms less the start of j//2 terms, in j's parity."""
+    k = j // 2
+    term = _oracles.solvable_starts(par, ell, s, k)[j % 2]
+    if k:
+        term -= _oracles.solvable_starts(par, ell, s, k - 1)[j % 2]
+    return term
+
+
+@pytest.mark.parametrize("n,p", [(3, 4.0), (2, 8.0)])
+def test_closed_form_eigenfunctions(n, p):
+    # each term sech^nu0(z) C_j(tanh z) of the starts is the Gegenbauer form,
+    # has the parity of j, and solves the discrete pencil at its level up to
+    # the stencil's h^4 error: at (2, 8) that is 3.4e-5 on the default grid
+    # (ell = 2, j = 5) and 16x less at half the spacing
+    par = ck.from_pn(p, n)
+    residuals = []
+    for refine in (1, 2):
+        cyl = ck.Cylinder(par, refine=refine)
+        s = cyl.grid.s
+        z = par.alpha * s
+        weight = cyl.ground_state ** (p - 2.0)
+        res = []
+        for ell in (0, 1, 2):
+            nu0 = np.sqrt(ell * (ell + n - 2) + par.Lam) / par.alpha
+            A = cyl.sector_op(ell)
+            for j in range(6):
+                phi = closed_form_term(par, ell, s, j)
+                ref = np.cosh(z) ** -nu0 * eval_gegenbauer(j, nu0 + 0.5, np.tanh(z))
+                assert np.allclose(phi, ref / np.linalg.norm(ref), rtol=0.0, atol=1e-13)
+                mirrored = closed_form_term(par, ell, -s, j)
+                assert np.allclose(mirrored, (-1) ** j * phi, rtol=0.0, atol=1e-15)
+                gamma = solvable_gamma(par, ell, j)
+                Aphi, wphi = A @ phi, weight * phi
+                res.append(np.linalg.norm(Aphi - gamma * wphi) / (
+                    np.linalg.norm(Aphi) + gamma * np.linalg.norm(wphi)))
+        residuals.append(np.array(res))
+    coarse, fine = residuals
+    assert np.max(fine) <= 1e-5
+    assert np.all(fine <= coarse / 12.0)
+
+
+@pytest.mark.parametrize("drop", [0, 1, 2, 3])
+def test_missed_level_raises(cyl34, monkeypatch, drop):
+    # a run that skips pair `drop` of the k + 1 lowest returns a level of the
+    # wrong index; skipping the (k + 1)-th leaves the k lowest, a clean run
+    lanczos = spectrum._lanczos
+
+    def skipping(A, b, k, x0=None):
+        gammas, X = lanczos(A, b, k + 1, x0)
+        keep = [i for i in range(k + 1) if i != drop]
+        return gammas[keep], X[keep]
+
+    monkeypatch.setattr(spectrum, "_lanczos", skipping)
+    if drop == 3:
+        ck.eigensolve_sector(cyl34, 0, k=3)
+        return
+    with pytest.raises(ArithmeticError, match=f"even level {drop} = .* own, index {2 * drop} "):
+        ck.eigensolve_sector(cyl34, 0, k=3)
+
+
+def test_walk_solve_count(par34, monkeypatch):
+    # the closed-form starts halve the banded solves of the walk: 36 here,
+    # where the constant start made 68
+    solve = Band.cho_solve
+    count = [0]
+
+    def counted(self, b):
+        count[0] += 1
+        return solve(self, b)
+
+    cyl = ck.Cylinder(par34, L=1)
+    monkeypatch.setattr(Band, "cho_solve", counted)
+    spectrum.sector_walk(cyl)
+    assert 0 < count[0] <= 40
+
+
+@pytest.mark.parametrize("n,p", REFERENCE_POINTS)
+def test_start_leaves_levels(n, p):
+    # the closed-form start changes how fast Lanczos converges, not where to
+    cyl = ck.Cylinder(ck.from_pn(p, n))
+    weight = cyl.ground_state ** (p - 2.0)
+    for ell in (0, 1, 2):
+        closed = ck.eigensolve_sector(cyl, ell, k=3).eigenvalues
+        constant = spectrum._pencil_eigenpairs(cyl.sector_op(ell), weight, cyl.grid.quad_w, 3)[0]
+        assert closed == pytest.approx(constant, rel=1e-13, abs=0.0)
